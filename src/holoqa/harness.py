@@ -179,14 +179,18 @@ def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField,
     """qa1/qa2 scoring on a pair of quantized hologram crops."""
     out = {}
     ref_c = dist_c = None
+    # one scratch per plane pair: real planes, imaginary planes, complex fields
+    planes_scratch, complex_scratch = ({}, {}), {}
     for mid in metric_ids:
         if mid in COMPLEX_METRICS:
             if ref_c is None:
                 ref_c = dequantize_components(ref_q).data
                 dist_c = dequantize_components(dist_q).data
-            out[mid] = evaluate_complex(mid, ref_c, dist_c, params).value
+            out[mid] = evaluate_complex(mid, ref_c, dist_c, params,
+                                        scratch=complex_scratch).value
         else:
-            out[mid] = score_components_avg(mid, ref_q, dist_q, params).value
+            out[mid] = score_components_avg(mid, ref_q, dist_q, params,
+                                            scratch=planes_scratch).value
     return out
 
 
@@ -232,12 +236,14 @@ def _view_pair_scores(config: TrackConfig, manifest: DatasetManifest,
                 ref_amp, dist_amp, config.clip_percentile, ap, offset,
                 f"{entry.stimulus_id}:{tag}",
             )
+            scratch = {}
             scores = {
                 mid: evaluate_real(
                     mid,
                     ref_view.pixels.astype(np.float64),
                     dist_view.pixels.astype(np.float64),
                     config.params,
+                    scratch=scratch,
                 ).value
                 for mid in metric_ids
             }

@@ -3,6 +3,13 @@
 Registry ids (used in reports and on the CLI): mse, nmse, psnr, ssrm,
 ssrmt, ssim, iwssim, msssim, uqi, gmsd, fsim, nlpd, vifp, plus the
 complex-capable variants mse_C, nmse_C, psnr_C, ssrm_C, ssrmt_C.
+
+Scratch: the ``scratch`` dict that ``evaluate_real``/``evaluate_complex`` take
+(``score_components_avg``: one per plane) lets the metrics of one (ref, dist)
+pair share intermediates: ssrm/ssrmt (and _C) one FFT-magnitude and rank pass
+per image, ssim/iwssim/msssim the full-size luminance and contrast-structure
+maps. Make a new scratch per pair; it holds one intermediate at a time. Values
+are bit-identical to calls without a scratch.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ DISTANCE_METRICS = frozenset(
     {"mse", "nmse", "gmsd", "nlpd", "mse_C", "nmse_C"}
 )
 
+# metrics that read and fill a scratch
+_SCRATCH_METRICS = frozenset({"ssrm", "ssrmt", "ssim", "iwssim", "msssim"})
+
 # metrics that can emit a per-pixel quality map
 MAP_METRICS = {"ssim": ssim_map, "gmsd": gmsd_map}
 
@@ -65,41 +75,43 @@ def perfect_value(metric_id: str) -> float:
     return 1.0
 
 
-def evaluate_real(metric_id: str, ref, dist,
-                  params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def _run(metric_id: str, ref, dist, params: MetricParams, scratch) -> MetricScore:
+    kwargs = {"scratch": scratch} if metric_id in _SCRATCH_METRICS else {}
+    return REAL_METRICS[metric_id](ref, dist, params, **kwargs)
+
+
+def evaluate_real(metric_id: str, ref, dist, params: MetricParams = DEFAULT_PARAMS,
+                  scratch: dict | None = None) -> MetricScore:
     """Run a real-valued metric on a pair of real 2D grids."""
-    try:
-        fn = REAL_METRICS[metric_id]
-    except KeyError:
+    if metric_id not in REAL_METRICS:
         raise UnknownMetric(
             f"unknown metric {metric_id!r}; known: {', '.join(ALL_METRIC_IDS)}"
-        ) from None
-    return fn(ref, dist, params)
+        )
+    return _run(metric_id, ref, dist, params, scratch)
 
 
-def evaluate_complex(metric_id: str, ref, dist,
-                     params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def evaluate_complex(metric_id: str, ref, dist, params: MetricParams = DEFAULT_PARAMS,
+                     scratch: dict | None = None) -> MetricScore:
     """Run a complex-capable metric (id with "_C" suffix) on complex grids."""
     if metric_id not in COMPLEX_METRICS:
         raise UnknownMetric(
             f"{metric_id!r} is not a complex-mode metric; known: "
             f"{', '.join(COMPLEX_METRICS)}"
         )
-    base = REAL_METRICS[metric_id[:-2]]
     ref = np.asarray(ref, dtype=np.complex128)
     dist = np.asarray(dist, dtype=np.complex128)
-    return base(ref, dist, params)
+    return _run(metric_id[:-2], ref, dist, params, scratch)
 
 
 def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedField,
-                         params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+                         params: MetricParams = DEFAULT_PARAMS,
+                         scratch: tuple = (None, None)) -> MetricScore:
     """Apply a real-valued metric to the 8-bit real planes and the 8-bit
-    imaginary planes separately and return the arithmetic mean."""
-    re_score = evaluate_real(
-        metric_id, ref.real_plane.astype(np.float64), dist.real_plane.astype(np.float64), params
-    )
-    im_score = evaluate_real(
-        metric_id, ref.imag_plane.astype(np.float64), dist.imag_plane.astype(np.float64), params
-    )
+    imaginary planes separately and return the arithmetic mean. ``scratch``
+    is a (real-plane, imaginary-plane) pair of scratch dicts."""
+    re_score = evaluate_real(metric_id, ref.real_plane.astype(np.float64),
+                             dist.real_plane.astype(np.float64), params, scratch[0])
+    im_score = evaluate_real(metric_id, ref.imag_plane.astype(np.float64),
+                             dist.imag_plane.astype(np.float64), params, scratch[1])
     return MetricScore(metric_id, ScoreMode.REAL_AVG,
                        0.5 * (re_score.value + im_score.value))

@@ -2,24 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.ndimage import correlate
 
-from ..errors import DimMismatch
 from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
+from .ssim import _check_pair
 
 _PREWITT_X = np.array([[1.0, 0.0, -1.0]] * 3) / 3.0
 _SCHARR_X = np.array([[3.0, 0.0, -3.0],
                       [10.0, 0.0, -10.0],
                       [3.0, 0.0, -3.0]]) / 16.0
-
-
-def _check_pair(ref, dist):
-    ref = np.asarray(ref, dtype=np.float64)
-    dist = np.asarray(dist, dtype=np.float64)
-    if ref.shape != dist.shape:
-        raise DimMismatch(f"shape mismatch: {ref.shape} vs {dist.shape}")
-    return ref, dist
 
 
 def _gradient_magnitude(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -37,12 +31,9 @@ def gmsd_map(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> np.ndarray:
     return (2.0 * g_r * g_d + t) / (g_r * g_r + g_d * g_d + t)
 
 
-def gmsd(ref, dist, params: MetricParams = DEFAULT_PARAMS,
-         emit_map: bool = False) -> MetricScore:
+def gmsd(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
     """Population standard deviation of the similarity map; 0 is perfect."""
-    qmap = gmsd_map(ref, dist, params)
-    return MetricScore("gmsd", ScoreMode.REAL, float(qmap.std()),
-                       qmap if emit_map else None)
+    return MetricScore("gmsd", ScoreMode.REAL, float(gmsd_map(ref, dist, params).std()))
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +48,11 @@ _PC_DTHETA_ON_SIGMA = 1.2
 _PC_EPS = 1e-4
 
 
-def _log_gabor_bank(rows: int, cols: int):
+@functools.lru_cache(maxsize=2)
+def _log_gabor_factors(rows: int, cols: int):
+    """Read-only angular spreads (per orientation) and radial profiles (per
+    scale) of the log-Gabor bank; filter (o, s) is ``radials[s] * spreads[o]``.
+    Caching these, not the 16 filters, halves the memory held per shape."""
     fy = np.fft.fftfreq(rows)[:, None]
     fx = np.fft.fftfreq(cols)[None, :]
     radius = np.sqrt(fx * fx + fy * fy)
@@ -68,21 +63,22 @@ def _log_gabor_bank(rows: int, cols: int):
     sigma_theta = np.pi / _PC_ORIENTS / _PC_DTHETA_ON_SIGMA
     log_sigma = np.log(_PC_SIGMA_ONF)
 
-    bank = []
+    spreads = []
     for o in range(_PC_ORIENTS):
         angle = o * np.pi / _PC_ORIENTS
         ds = sin_t * np.cos(angle) - cos_t * np.sin(angle)
         dc = cos_t * np.cos(angle) + sin_t * np.sin(angle)
         dtheta = np.abs(np.arctan2(ds, dc))
-        spread = np.exp(-(dtheta * dtheta) / (2.0 * sigma_theta * sigma_theta))
-        row = []
-        for s in range(_PC_SCALES):
-            f0 = 1.0 / (_PC_MIN_WAVELENGTH * _PC_MULT ** s)
-            radial = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * log_sigma * log_sigma))
-            radial[0, 0] = 0.0
-            row.append(radial * spread)
-        bank.append(row)
-    return bank
+        spreads.append(np.exp(-(dtheta * dtheta) / (2.0 * sigma_theta * sigma_theta)))
+    radials = []
+    for s in range(_PC_SCALES):
+        f0 = 1.0 / (_PC_MIN_WAVELENGTH * _PC_MULT ** s)
+        radial = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * log_sigma * log_sigma))
+        radial[0, 0] = 0.0
+        radials.append(radial)
+    for arr in spreads + radials:
+        arr.flags.writeable = False
+    return tuple(spreads), tuple(radials)
 
 
 def phase_congruency(img: np.ndarray) -> np.ndarray:
@@ -93,11 +89,12 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
     spectrum = np.fft.fft2(img)
     energy = np.zeros(img.shape)
     amp_sum = np.zeros(img.shape)
-    for row in _log_gabor_bank(*img.shape):
+    spreads, radials = _log_gabor_factors(*img.shape)
+    for spread in spreads:
         sum_re = np.zeros(img.shape)
         sum_im = np.zeros(img.shape)
-        for filt in row:
-            resp = np.fft.ifft2(spectrum * filt)
+        for radial in radials:
+            resp = np.fft.ifft2(spectrum * (radial * spread))
             sum_re += resp.real
             sum_im += resp.imag
             amp_sum += np.abs(resp)

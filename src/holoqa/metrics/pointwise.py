@@ -19,7 +19,7 @@ def _as_pair(ref, dist):
 
 
 def mse_value(ref, dist) -> float:
-    ref, dist, _ = _as_pair(ref, dist)
+    """MSE of two arrays already converted by ``_as_pair``."""
     return float(np.mean(np.abs(dist - ref) ** 2))
 
 
@@ -48,6 +48,6 @@ def psnr(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
     r, d, cplx = _as_pair(ref, dist)
     err = mse_value(r, d)
     peak = params.psnr_peak_complex if cplx else params.psnr_peak_real
-    value = float("inf") if err == 0.0 else 10.0 * np.log10(peak * peak / err)
+    value = float("inf") if err == 0.0 else float(10.0 * np.log10(peak * peak / err))
     mode = ScoreMode.COMPLEX if cplx else ScoreMode.REAL
     return MetricScore("psnr_C" if cplx else "psnr", mode, value)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import correlate
 
-from ..errors import DimMismatch
 from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
+from .ssim import _check_pair
 
 _BINOMIAL = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 256.0
 
@@ -49,10 +49,7 @@ def _normalized_pyramid(img: np.ndarray, levels: int):
 def nlpd(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
     """Mean over pyramid levels of the RMS difference between the normalized
     bands; 0 is perfect. Inputs are scaled by the dynamic range first."""
-    ref = np.asarray(ref, dtype=np.float64)
-    dist = np.asarray(dist, dtype=np.float64)
-    if ref.shape != dist.shape:
-        raise DimMismatch(f"shape mismatch: {ref.shape} vs {dist.shape}")
+    ref, dist = _check_pair(ref, dist)
     scale = params.dynamic_range
     pyr_r = _normalized_pyramid(ref / scale, params.nlpd_levels)
     pyr_d = _normalized_pyramid(dist / scale, params.nlpd_levels)

@@ -18,42 +18,49 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import rankdata
 
-from ..errors import DegenerateReference, DimMismatch
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
+from ..errors import DegenerateReference
+from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode, from_scratch
+from .pointwise import _as_pair
 
 
-def _spectral_magnitudes(ref, dist):
-    ref = np.asarray(ref)
-    dist = np.asarray(dist)
-    if ref.shape != dist.shape:
-        raise DimMismatch(f"shape mismatch: {ref.shape} vs {dist.shape}")
-    cplx = np.iscomplexobj(ref) or np.iscomplexobj(dist)
-    fr = np.fft.fft2(ref.astype(np.complex128))
-    fd = np.fft.fft2(dist.astype(np.complex128))
-    return np.abs(fr).ravel(), np.abs(fd).ravel(), cplx
+def _spectral_ranks(ref, dist):
+    """FFT magnitudes, their descending mid-ranks and the complex flag of a pair."""
+    ref, dist, cplx = _as_pair(ref, dist)
+    a_ref = np.abs(np.fft.fft2(ref.astype(np.complex128))).ravel()
+    a_dist = np.abs(np.fft.fft2(dist.astype(np.complex128))).ravel()
+    r_ref = rankdata(-a_ref, method="average")
+    r_dist = rankdata(-a_dist, method="average")
+    return a_ref, a_dist, r_ref, r_dist, cplx
 
 
-def _rank_agreement(a_ref: np.ndarray, a_dist: np.ndarray) -> float:
-    """Significance-weighted rank agreement of two magnitude vectors."""
+def _ac_ranks(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Mid-ranks of -a[1:] from those of -a: dropping DC lowers each smaller
+    magnitude's rank by 1 and each tied one's by 1/2 (exact: half-integers)."""
+    dc, ac = a[0], a[1:]
+    return ranks[1:] - (dc > ac) - 0.5 * (dc == ac)
+
+
+def _rank_agreement(a_ref: np.ndarray, r_ref: np.ndarray, r_dist: np.ndarray) -> float:
+    """Significance-weighted agreement of two rankings of the magnitudes a_ref."""
     total = a_ref.sum()
     if total == 0.0:
         raise DegenerateReference("zero-energy reference spectrum")
     n = a_ref.size
     if n == 1:
         return 1.0
-    r_ref = rankdata(-a_ref, method="average")
-    r_dist = rankdata(-a_dist, method="average")
     agreement = 1.0 - np.abs(r_ref - r_dist) / (n - 1)
     # normalize the weighted sum by the total mass at the end so identical
     # rankings score exactly 1
     return float(np.sum(a_ref * agreement) / total)
 
 
-def ssrm(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def ssrm(ref, dist, params: MetricParams = DEFAULT_PARAMS,
+         scratch: dict | None = None) -> MetricScore:
     """SSRM: DC term scored separately, blended by its magnitude share."""
-    a_ref, a_dist, cplx = _spectral_magnitudes(ref, dist)
+    a_ref, a_dist, r_ref, r_dist, cplx = from_scratch(
+        scratch, "spectral_ranks", lambda: _spectral_ranks(ref, dist))
     dc_ref, dc_dist = a_ref[0], a_dist[0]
-    ac_ref, ac_dist = a_ref[1:], a_dist[1:]
+    ac_ref = a_ref[1:]
     if a_ref.sum() == 0.0:
         raise DegenerateReference("zero-energy reference spectrum")
     if dc_ref == 0.0 and dc_dist == 0.0:
@@ -63,7 +70,8 @@ def ssrm(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
     if ac_ref.size == 0 or ac_ref.sum() == 0.0:
         ac_score, alpha = 1.0, 1.0
     else:
-        ac_score = _rank_agreement(ac_ref, ac_dist)
+        ac_score = _rank_agreement(ac_ref, _ac_ranks(a_ref, r_ref),
+                                   _ac_ranks(a_dist, r_dist))
         alpha = float(dc_ref / a_ref.sum())
     if dc_score == ac_score:
         value = dc_score
@@ -73,9 +81,11 @@ def ssrm(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
     return MetricScore("ssrm_C" if cplx else "ssrm", mode, value)
 
 
-def ssrmt(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def ssrmt(ref, dist, params: MetricParams = DEFAULT_PARAMS,
+          scratch: dict | None = None) -> MetricScore:
     """SSRMt: the DC term is ranked just like any other coefficient."""
-    a_ref, a_dist, cplx = _spectral_magnitudes(ref, dist)
-    value = _rank_agreement(a_ref, a_dist)
+    a_ref, _, r_ref, r_dist, cplx = from_scratch(
+        scratch, "spectral_ranks", lambda: _spectral_ranks(ref, dist))
+    value = _rank_agreement(a_ref, r_ref, r_dist)
     mode = ScoreMode.COMPLEX if cplx else ScoreMode.REAL
     return MetricScore("ssrmt_C" if cplx else "ssrmt", mode, value)

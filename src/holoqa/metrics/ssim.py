@@ -13,7 +13,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from ..errors import DegenerateReference, DimMismatch, InputTooSmall
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
+from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode, from_scratch
 
 
 def _check_pair(ref, dist):
@@ -31,35 +31,37 @@ def gaussian_window(size: int, sigma: float) -> np.ndarray:
     return win / win.sum()
 
 
-def _filter_valid(img: np.ndarray, win: np.ndarray) -> np.ndarray:
-    return fftconvolve(img, win, mode="valid")
-
-
 def _local_stats(ref, dist, win):
-    mu_r = _filter_valid(ref, win)
-    mu_d = _filter_valid(dist, win)
-    var_r = _filter_valid(ref * ref, win) - mu_r * mu_r
-    var_d = _filter_valid(dist * dist, win) - mu_d * mu_d
-    cov = _filter_valid(ref * dist, win) - mu_r * mu_d
+    """Valid-mode local means, variances and covariance under window ``win``."""
+    mu_r = fftconvolve(ref, win, mode="valid")
+    mu_d = fftconvolve(dist, win, mode="valid")
+    var_r = fftconvolve(ref * ref, win, mode="valid") - mu_r * mu_r
+    var_d = fftconvolve(dist * dist, win, mode="valid") - mu_d * mu_d
+    cov = fftconvolve(ref * dist, win, mode="valid") - mu_r * mu_d
     return mu_r, mu_d, var_r, var_d, cov
 
 
-def _lcs_maps(ref, dist, win, c1, c2):
-    """Luminance map and combined contrast-structure map (C3 = C2/2 form)."""
-    mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, win)
-    lum = (2.0 * mu_r * mu_d + c1) / (mu_r * mu_r + mu_d * mu_d + c1)
-    cs = (2.0 * cov + c2) / (var_r + var_d + c2)
-    return lum, cs
+def _lcs_maps(ref, dist, params: MetricParams, scratch: dict | None = None):
+    """Luminance map and combined contrast-structure map (C3 = C2/2 form);
+    SSIM, MS-SSIM and IW-SSIM share the full-size pair's through ``scratch``."""
+    def compute():
+        win = gaussian_window(params.ssim_window, params.ssim_sigma)
+        mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, win)
+        c1, c2 = params.c1, params.c2
+        lum = (2.0 * mu_r * mu_d + c1) / (mu_r * mu_r + mu_d * mu_d + c1)
+        cs = (2.0 * cov + c2) / (var_r + var_d + c2)
+        return lum, cs
+    return from_scratch(scratch, ("lcs", params), compute)
 
 
-def ssim_map(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> np.ndarray:
+def ssim_map(ref, dist, params: MetricParams = DEFAULT_PARAMS,
+             scratch: dict | None = None) -> np.ndarray:
     """Local SSIM quality map (valid region of the 11x11 Gaussian window)."""
     ref, dist = _check_pair(ref, dist)
     w = params.ssim_window
     if ref.shape[0] < w or ref.shape[1] < w:
         raise InputTooSmall(f"input {ref.shape} smaller than {w}x{w} window")
-    win = gaussian_window(w, params.ssim_sigma)
-    lum, cs = _lcs_maps(ref, dist, win, params.c1, params.c2)
+    lum, cs = _lcs_maps(ref, dist, params, scratch)
     a, b, _ = params.ssim_exponents
     if (a, b) == (1.0, 1.0):
         return lum * cs
@@ -67,10 +69,8 @@ def ssim_map(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> np.ndarray:
 
 
 def ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS,
-         emit_map: bool = False) -> MetricScore:
-    qmap = ssim_map(ref, dist, params)
-    return MetricScore("ssim", ScoreMode.REAL, float(qmap.mean()),
-                       qmap if emit_map else None)
+         scratch: dict | None = None) -> MetricScore:
+    return MetricScore("ssim", ScoreMode.REAL, float(ssim_map(ref, dist, params, scratch).mean()))
 
 
 def _downsample2(img: np.ndarray) -> np.ndarray:
@@ -81,7 +81,8 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
     return 0.25 * (img[0::2, 0::2] + img[1::2, 0::2] + img[0::2, 1::2] + img[1::2, 1::2])
 
 
-def ms_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def ms_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS,
+            scratch: dict | None = None) -> MetricScore:
     """Multi-scale SSIM: contrast/structure at every scale, full SSIM at the
     coarsest, combined with the standard exponent weights.
 
@@ -96,10 +97,9 @@ def ms_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
         raise InputTooSmall(
             f"input {ref.shape} too small for {scales} scales of a {w}x{w} window"
         )
-    win = gaussian_window(w, params.ssim_sigma)
     score = 1.0
     for j in range(scales):
-        lum, cs = _lcs_maps(ref, dist, win, params.c1, params.c2)
+        lum, cs = _lcs_maps(ref, dist, params, scratch if j == 0 else None)
         if j == scales - 1:
             factor = float((lum * cs).mean())
         else:
@@ -122,11 +122,8 @@ def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray) -> np.ndarray:
     carries plus the information surviving the gain/additive-noise channel to
     the distorted band. Non-negative and finite by construction."""
     win = np.full((_IW_WIN, _IW_WIN), 1.0 / (_IW_WIN * _IW_WIN))
-    mu_r = _filter_valid(band_r, win)
-    mu_d = _filter_valid(band_d, win)
-    var_r = np.maximum(_filter_valid(band_r * band_r, win) - mu_r * mu_r, 0.0)
-    var_d = np.maximum(_filter_valid(band_d * band_d, win) - mu_d * mu_d, 0.0)
-    cov = _filter_valid(band_r * band_d, win) - mu_r * mu_d
+    _, _, var_r, var_d, cov = _local_stats(band_r, band_d, win)
+    var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
     gain = np.where(var_r > 0, cov / np.maximum(var_r, np.finfo(float).tiny), 0.0)
     vv = np.maximum(var_d - gain * cov, 0.0)
     c = _IW_SIGMA_NSQ
@@ -140,11 +137,11 @@ def _upsample2(img: np.ndarray, shape) -> np.ndarray:
     c = min(sub.shape[1], img.shape[1])
     sub[:r, :c] = img[:r, :c]
     k = np.array([0.5, 1.0, 0.5])
-    up = fftconvolve(up, k[:, None] * k[None, :], mode="same")
-    return up
+    return fftconvolve(up, k[:, None] * k[None, :], mode="same")
 
 
-def iw_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def iw_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS,
+            scratch: dict | None = None) -> MetricScore:
     """Information-content-weighted multi-scale SSIM over a Laplacian-style
     pyramid. Per-scale contrast/structure maps are pooled with information
     weights derived from the detail bands; the coarsest scale contributes a
@@ -157,13 +154,12 @@ def iw_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
         raise InputTooSmall(
             f"input {ref.shape} too small for {scales} scales of a {w}x{w} window"
         )
-    win = gaussian_window(w, params.ssim_sigma)
     margin = (w - 1) // 2
     iw_margin = (_IW_WIN - 1) // 2
 
     score = 1.0
     for j in range(scales):
-        lum, cs = _lcs_maps(ref, dist, win, params.c1, params.c2)
+        lum, cs = _lcs_maps(ref, dist, params, scratch if j == 0 else None)
         qmap = lum * cs if j == scales - 1 else cs
         if j == scales - 1:
             band_r, band_d = ref, dist

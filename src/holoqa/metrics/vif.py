@@ -11,45 +11,32 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import fftconvolve
 
-from ..errors import DegenerateReference, DimMismatch
+from ..errors import DegenerateReference
 from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
+from .ssim import _check_pair, _local_stats, gaussian_window
 
 _SIGMA_NSQ = 2.0
 _VAR_EPS = 1e-10
 
 
-def _gauss_kernel(n: int, sd: float) -> np.ndarray:
-    ax = np.arange(n) - (n - 1) / 2.0
-    g = np.exp(-(ax * ax) / (2.0 * sd * sd))
-    k = np.outer(g, g)
-    return k / k.sum()
-
-
 def vifp(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
-    ref = np.asarray(ref, dtype=np.float64)
-    dist = np.asarray(dist, dtype=np.float64)
-    if ref.shape != dist.shape:
-        raise DimMismatch(f"shape mismatch: {ref.shape} vs {dist.shape}")
-
+    ref, dist = _check_pair(ref, dist)
     num = 0.0
     den = 0.0
     tiny = np.finfo(np.float64).tiny
     for scale in range(1, params.vifp_scales + 1):
         n = 2 ** (params.vifp_scales - scale + 1) + 1
-        win = _gauss_kernel(n, n / 5.0)
+        win = gaussian_window(n, n / 5.0)
         if scale > 1:
             ref = fftconvolve(ref, win, mode="valid")[::2, ::2]
             dist = fftconvolve(dist, win, mode="valid")[::2, ::2]
         if ref.shape[0] < n or ref.shape[1] < n:
             break
-        mu_r = fftconvolve(ref, win, mode="valid")
-        mu_d = fftconvolve(dist, win, mode="valid")
-        var_r = np.maximum(fftconvolve(ref * ref, win, mode="valid") - mu_r * mu_r, 0.0)
-        var_d = np.maximum(fftconvolve(dist * dist, win, mode="valid") - mu_d * mu_d, 0.0)
+        _, _, var_r, var_d, cov = _local_stats(ref, dist, win)
+        var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
         # roundoff-scale variances on flat regions carry no information
         var_r[var_r < _VAR_EPS] = 0.0
         var_d[var_d < _VAR_EPS] = 0.0
-        cov = fftconvolve(ref * dist, win, mode="valid") - mu_r * mu_d
 
         gain = np.where(var_r > 0, cov / np.maximum(var_r, tiny), 0.0)
         gain = np.maximum(gain, 0.0)

@@ -4,7 +4,9 @@ needs an external hologram dataset and is skipped unless its environment
 variables are set.
 """
 
+import csv
 import filecmp
+import math
 import os
 import time
 
@@ -212,6 +214,27 @@ def test_criterion_08_rank_aggregation_checksum():
           "grand totals to 18*n(n+1)/2")
 
 
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _assert_golden_raw_scores(report):
+    """Raw scores equal tests/golden/<track>_raw_scores.csv at rtol 1e-9, with
+    the +inf PSNR sentinel matched exactly (see tests/golden/record.py)."""
+    with open(os.path.join(GOLDEN_DIR, f"{report.track}_raw_scores.csv"),
+              newline="", encoding="utf-8") as fh:
+        golden = list(csv.DictReader(fh))
+    assert len(report.raw_scores) == len(golden)
+    for rec, want in zip(report.raw_scores, golden):
+        key = (rec.stimulus_id, rec.view, str(rec.focal_index), rec.metric_id)
+        assert key == (want["stimulus_id"], want["view"], want["focal_index"],
+                       want["metric"])
+        w = float(want["value"])
+        if math.isinf(w) or math.isinf(rec.value):
+            assert rec.value == w, key
+        else:
+            assert abs(rec.value - w) <= 1e-9 * abs(w), (key, rec.value, w)
+
+
 def test_criterion_09_end_to_end_desk_scale(demo_dataset, tmp_path):
     manifest = load_manifest(demo_dataset["manifest"])
     mos = read_mos_csv(demo_dataset["mos"])
@@ -234,6 +257,7 @@ def test_criterion_09_end_to_end_desk_scale(demo_dataset, tmp_path):
         assert len(report.significance) == 3
         assert len(report.rank_sums) == n_metrics
         assert os.path.exists(os.path.join(out, f"{track}_ranksums.csv"))
+        _assert_golden_raw_scores(report)
 
     # byte-identical re-run of one track
     report, config, out = reports["qa1"]

@@ -138,6 +138,8 @@ class TestEmitReport:
             raw = list(csv.DictReader(fh))
         assert len(raw) == len(report.raw_scores)
         assert abs(float(raw[0]["value"]) - report.raw_scores[0].value) < 1e-12
+        with open(os.path.join(out, "qa1_raw_scores.csv")) as fh:
+            assert "np." not in fh.read()
 
     def test_rank_sum_file_checksum(self, small_report, tmp_path):
         report, config = small_report

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from holoqa.errors import (
     DegenerateReference,
@@ -21,10 +22,11 @@ from holoqa.metrics import (
     perfect_value,
     score_components_avg,
 )
+from holoqa.metrics import gradient
 from holoqa.metrics.gradient import fsim, gmsd, gmsd_map, phase_congruency
 from holoqa.metrics.pointwise import mse, nmse, psnr
 from holoqa.metrics.pyramid import nlpd
-from holoqa.metrics.spectral import ssrm, ssrmt
+from holoqa.metrics.spectral import _ac_ranks, ssrm, ssrmt
 from holoqa.metrics.ssim import iw_ssim, ms_ssim, ssim, ssim_map, uqi
 from holoqa.metrics.vif import vifp
 
@@ -67,10 +69,12 @@ class TestRegistry:
 
 
 class TestIdentity:
-    def test_all_real_metrics_perfect_on_identity(self, image):
+    def test_all_real_metrics_perfect_on_identity(self, image, noisy_versions):
         for mid in REAL_METRICS:
             value = evaluate_real(mid, image, image.copy()).value
             assert value == perfect_value(mid), mid
+            # reports write repr(value): a NumPy scalar would print as np.float64(...)
+            assert type(evaluate_real(mid, image, noisy_versions[0]).value) is float, mid
 
     def test_all_complex_metrics_perfect_on_identity(self):
         rng = np.random.default_rng(2)
@@ -78,6 +82,7 @@ class TestIdentity:
         for mid in COMPLEX_METRICS:
             value = evaluate_complex(mid, fld, fld.copy()).value
             assert value == perfect_value(mid), mid
+            assert type(evaluate_complex(mid, fld, 0.9 * fld).value) is float, mid
 
 
 class TestPointwise:
@@ -235,6 +240,93 @@ class TestPyramidAndVif:
     def test_vifp_constant_reference(self):
         with pytest.raises(DegenerateReference):
             vifp(np.full((64, 64), 5.0), np.full((64, 64), 7.0))
+
+
+def _uncached_phase_congruency(img):
+    """Phase congruency with the full 16-filter bank built per call, as
+    before the factors were cached; the reference for the cached path."""
+    rows, cols = img.shape
+    fy = np.fft.fftfreq(rows)[:, None]
+    fx = np.fft.fftfreq(cols)[None, :]
+    radius = np.sqrt(fx * fx + fy * fy)
+    radius[0, 0] = 1.0
+    theta = np.arctan2(-fy, fx)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    sigma_theta = np.pi / 4 / 1.2
+    log_sigma = np.log(0.55)
+    spectrum = np.fft.fft2(img)
+    energy = np.zeros(img.shape)
+    amp_sum = np.zeros(img.shape)
+    for o in range(4):
+        angle = o * np.pi / 4
+        ds = sin_t * np.cos(angle) - cos_t * np.sin(angle)
+        dc = cos_t * np.cos(angle) + sin_t * np.sin(angle)
+        dtheta = np.abs(np.arctan2(ds, dc))
+        spread = np.exp(-(dtheta * dtheta) / (2.0 * sigma_theta * sigma_theta))
+        sum_re = np.zeros(img.shape)
+        sum_im = np.zeros(img.shape)
+        for s in range(4):
+            f0 = 1.0 / (6.0 * 2.0 ** s)
+            radial = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * log_sigma * log_sigma))
+            radial[0, 0] = 0.0
+            resp = np.fft.ifft2(spectrum * (radial * spread))
+            sum_re += resp.real
+            sum_im += resp.imag
+            amp_sum += np.abs(resp)
+        energy += np.sqrt(sum_re * sum_re + sum_im * sum_im)
+    return energy / (amp_sum + 1e-4)
+
+
+class TestSharing:
+    """Cached log-Gabor factors and per-pair scratch sharing are exact."""
+
+    @pytest.mark.parametrize("a", [
+        np.array([3.0, 3.0, 1.0, 3.0, 5.0, 3.0]),              # DC tied with AC
+        np.abs(np.fft.fft2(np.full((6, 5), 7.0))).ravel(),        # constant image
+        np.abs(np.fft.fft2(np.tile([0.0, 1.0, 0.0, 2.0], (8, 2)))).ravel(),
+        np.random.default_rng(8).integers(0, 4, 400).astype(np.float64),
+        np.zeros(16),
+    ])
+    def test_ac_ranks_match_direct_ranking(self, a):
+        got = _ac_ranks(a, rankdata(-a, method="average"))
+        assert np.array_equal(got, rankdata(-a[1:], method="average"))
+
+    def test_scratch_values_bit_identical(self, image, noisy_versions):
+        from holoqa.field import HologramForm, WaveField, quantize_components
+
+        dist = noisy_versions[1]
+        scratch = {}
+        for mid in REAL_METRICS:
+            want = evaluate_real(mid, image, dist).value
+            assert evaluate_real(mid, image, dist, scratch=scratch).value == want, mid
+        assert len(scratch) == 1
+
+        fr = image + 1j * image[::-1]
+        fd = dist + 1j * dist[::-1]
+        scratch = {}
+        for mid in COMPLEX_METRICS:
+            want = evaluate_complex(mid, fr, fd).value
+            assert evaluate_complex(mid, fr, fd, scratch=scratch).value == want, mid
+
+        ref_q = quantize_components(WaveField(fr, 8e-6, 640e-9, HologramForm.FOURIER))
+        dist_q = quantize_components(WaveField(fd, 8e-6, 640e-9, HologramForm.FOURIER))
+        planes = ({}, {})
+        for mid in REAL_METRICS:
+            want = score_components_avg(mid, ref_q, dist_q).value
+            assert score_components_avg(mid, ref_q, dist_q, scratch=planes).value == want, mid
+
+    def test_phase_congruency_cache_matches_uncached(self, image):
+        gradient._log_gabor_factors.cache_clear()
+        small = image[:64, :80]
+        for img in (image, small, image, small):
+            assert np.array_equal(phase_congruency(img), _uncached_phase_congruency(img))
+        assert gradient._log_gabor_factors.cache_info().currsize == 2
+
+    def test_cached_factors_are_read_only(self):
+        spreads, radials = gradient._log_gabor_factors(32, 48)
+        for arr in spreads + radials:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 class TestComponentAveraging:
