@@ -10,7 +10,6 @@ transforms and reconstruction (:mod:`holoqa.transform`), speckle denoising
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import HoloQAError
 from .field import (
     ApertureSpec,
@@ -24,7 +23,6 @@ from .metrics import ALL_METRIC_IDS, evaluate_complex, evaluate_real
 
 __all__ = [
     "__version__",
-    "KERNEL_BACKEND",
     "HoloQAError",
     "ApertureSpec",
     "HologramForm",

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.ndimage import uniform_filter
 
-from ._kernels import local_moments
 from .errors import InvalidField, WindowTooLarge
 
 AUTO = "auto"
@@ -32,6 +32,17 @@ class WienerParams:
             )
         if self.noise_variance != AUTO and float(self.noise_variance) < 0:
             raise InvalidField("noise_variance must be >= 0 or 'auto'")
+
+
+def local_moments(img, window_h, window_w):
+    """Local mean and variance over a window_h x window_w sliding window with
+    symmetric boundary padding. Returns (mean, var), same shape as img."""
+    img = np.asarray(img, dtype=np.float64)
+    size = (window_h, window_w)
+    mean = uniform_filter(img, size=size, mode="reflect")
+    mean_sq = uniform_filter(img * img, size=size, mode="reflect")
+    var = np.maximum(mean_sq - mean * mean, 0.0)
+    return mean, var
 
 
 def estimate_noise_variance(image: np.ndarray, params: WienerParams) -> float:

@@ -14,7 +14,7 @@ class ApertureOutOfBounds(HoloQAError):
 
 
 class CorruptInput(HoloQAError):
-    """On-disk plane size disagrees with its sidecar metadata."""
+    """On-disk data size disagrees with its sidecar metadata or PGM header."""
 
 
 class UnsupportedFormat(HoloQAError):

@@ -268,9 +268,8 @@ class SignificanceMatrix:
                           # metric i predicts significantly better than j
 
 
-def significance_matrix(residual_sets: dict, alpha: float = 0.05,
-                        paired: bool = True) -> SignificanceMatrix:
-    """Two-sided t-test on absolute residual vectors for each metric pair.
+def significance_matrix(residual_sets: dict, alpha: float = 0.05) -> SignificanceMatrix:
+    """Two-sided paired t-test on absolute residual vectors for each metric pair.
 
     Residuals must be paired per stimulus (same length and order).
     """
@@ -286,21 +285,12 @@ def significance_matrix(residual_sets: dict, alpha: float = 0.05,
     entries = np.zeros((k, k), dtype=int)
     for i in range(k):
         for j in range(i + 1, k):
-            if paired:
-                d = vectors[i] - vectors[j]
-                sd = d.std(ddof=1)
-                if sd == 0.0:
-                    continue
-                t_stat = d.mean() / (sd / np.sqrt(n))
-                df = n - 1
-            else:
-                vi, vj = vectors[i], vectors[j]
-                se = np.sqrt(vi.var(ddof=1) / n + vj.var(ddof=1) / n)
-                if se == 0.0:
-                    continue
-                t_stat = (vi.mean() - vj.mean()) / se
-                df = 2 * n - 2
-            p = 2.0 * t_dist.sf(abs(t_stat), df)
+            d = vectors[i] - vectors[j]
+            sd = d.std(ddof=1)
+            if sd == 0.0:
+                continue
+            t_stat = d.mean() / (sd / np.sqrt(n))
+            p = 2.0 * t_dist.sf(abs(t_stat), n - 1)
             if p < alpha:
                 sign = -1 if t_stat > 0 else 1   # larger residuals = worse
                 entries[i, j] = sign

@@ -146,16 +146,13 @@ def _demo_points(scene: str, extent: float, focal_step: float,
                 pts.append(ScenePoint(r * extent * np.cos(ang),
                                       r * extent * np.sin(ang),
                                       focal_step if a % 2 else 0.0, 0.85))
-    elif scene == "texture":
-        for _ in range(150):
-            pts.append(ScenePoint(
-                rng.uniform(-extent, extent), rng.uniform(-extent, extent),
-                rng.uniform(0.0, focal_step), rng.uniform(0.3, 1.0)))
-    else:  # cloud
+    elif scene == "cloud":
         for _ in range(60):
             pts.append(ScenePoint(
                 rng.normal(0.0, extent / 3), rng.normal(0.0, extent / 3),
                 rng.uniform(0.0, focal_step), rng.uniform(0.2, 1.0)))
+    else:
+        raise InvalidField(f"unknown demo scene {scene!r}")
     return pts
 
 

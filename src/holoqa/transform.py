@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CorruptInput,
     DegenerateAmplitude,
     FormMismatch,
     InvalidFactor,
     PlanMismatch,
+    UnsupportedFormat,
 )
 from .field import ApertureSpec, HologramForm, WaveField, extract_aperture
 
@@ -247,9 +249,7 @@ def store_view(view: ViewImage, path: str) -> None:
     """Write a binary P5 PGM plus a JSON sidecar with the view metadata."""
     import json
 
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{view.pixels.shape[1]} {view.pixels.shape[0]}\n255\n".encode())
-        fh.write(view.pixels.tobytes())
+    store_gray_pgm(view.pixels, path)
     meta = {
         "clip_bound": view.clip_bound,
         "focal_distance": view.focal_distance,
@@ -292,9 +292,14 @@ def load_gray_pgm(path: str) -> np.ndarray:
             pos += 1
         fields.append(raw[start:pos])
     if fields[0] != b"P5" or fields[3] != b"255":
-        from .errors import UnsupportedFormat
-
         raise UnsupportedFormat(f"{path}: not an 8-bit binary PGM")
+    if not (fields[1].isdigit() and fields[2].isdigit()):
+        raise UnsupportedFormat(f"{path}: PGM dimensions are not integers")
     cols, rows = int(fields[1]), int(fields[2])
-    data = np.frombuffer(raw[pos + 1 :], dtype=np.uint8, count=rows * cols)
+    pixels = raw[pos + 1 :]
+    if len(pixels) < rows * cols:
+        raise CorruptInput(
+            f"{path}: {len(pixels)} pixel bytes, header declares {cols}x{rows}"
+        )
+    data = np.frombuffer(pixels, dtype=np.uint8, count=rows * cols)
     return data.reshape(rows, cols).copy()

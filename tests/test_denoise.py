@@ -1,20 +1,25 @@
-"""Tests for the adaptive local Wiener filter and the kernel backends."""
-
-import subprocess
-import sys
+"""Tests for the adaptive local Wiener filter and its local-moment kernel."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
-from holoqa._kernels import BACKEND, local_moments, pure
 from holoqa.denoise import (
     AUTO,
     WienerParams,
     estimate_noise_variance,
+    local_moments,
     resolve_params,
     wiener_denoise,
 )
 from holoqa.errors import InvalidField, WindowTooLarge
+
+
+def _odd_windows(largest):
+    """Odd window sizes from 3 up to `largest`."""
+    return st.integers(1, (largest - 1) // 2).map(lambda k: 2 * k + 1)
 
 
 class TestLocalMoments:
@@ -41,25 +46,20 @@ class TestLocalMoments:
         mean, _ = local_moments(img, 3, 3)
         assert mean[0, 0] == pytest.approx(padded[0:3, 0:3].mean(), rel=1e-12)
 
-    def test_backends_agree(self):
-        rng = np.random.default_rng(2)
-        img = rng.uniform(0, 255, (64, 80))
-        m_sel, v_sel = local_moments(img, 7, 5)
-        m_ref, v_ref = pure.local_moments(img, 7, 5)
-        assert np.allclose(m_sel, m_ref, atol=1e-8)
-        assert np.allclose(v_sel, v_ref, atol=1e-8)
-
-    def test_pure_fallback_forced_by_env(self):
-        code = (
-            "import os; os.environ['HOLOQA_PURE_PYTHON'] = '1'; "
-            "from holoqa._kernels import BACKEND; print(BACKEND)"
-        )
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "pure"
-
-    def test_backend_reported(self):
-        assert BACKEND in ("compiled", "pure")
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_windows(self, data):
+        rows = data.draw(st.integers(3, 40), label="rows")
+        cols = data.draw(st.integers(3, 40), label="cols")
+        wh = data.draw(_odd_windows(min(rows, 15)), label="window_h")
+        ww = data.draw(_odd_windows(min(cols, 15)), label="window_w")
+        img = data.draw(arrays(np.float64, (rows, cols),
+                               elements=st.floats(0.0, 255.0)), label="img")
+        padded = np.pad(img, ((wh // 2,) * 2, (ww // 2,) * 2), mode="symmetric")
+        windows = sliding_window_view(padded, (wh, ww))
+        mean, var = local_moments(img, wh, ww)
+        np.testing.assert_allclose(mean, windows.mean(axis=(2, 3)), rtol=0, atol=1e-8)
+        np.testing.assert_allclose(var, windows.var(axis=(2, 3)), rtol=0, atol=1e-8)
 
 
 class TestWienerParams:

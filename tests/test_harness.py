@@ -223,6 +223,18 @@ class TestCli:
 
         assert load_gray_pgm(den).shape == load_gray_pgm(view).shape
 
+    @pytest.mark.parametrize("content", [
+        b"P5\n16 16\n255\n" + bytes(range(40 - 13)),   # 40-byte cut of 16x16
+        b"P5\nsixteen 16\n255\n" + bytes(256),
+    ], ids=["truncated", "bad-dims"])
+    def test_denoise_bad_pgm_exit_1(self, tmp_path, content):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(content)
+        out = _cli("denoise", "--in", str(bad), "--out", str(tmp_path / "d.pgm"))
+        assert out.returncode == 1
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ")
+
     def test_convert_round_trip(self, demo_dataset, tmp_path):
         base = os.path.join(demo_dataset["root"], "fields", "ring_ref")
         fres = str(tmp_path / "fres")

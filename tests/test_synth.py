@@ -130,6 +130,12 @@ class TestDemoDataset:
         assert len(records) == 4 * 3 * 3 * 2 * 2
         assert all(1.0 <= r.mos <= 5.0 for r in records)
 
+    def test_unknown_scene_rejected(self, tmp_path):
+        with pytest.raises(InvalidField, match="typo"):
+            generate_demo_dataset(str(tmp_path), size=32, aperture=16,
+                                  scenes=("typo",))
+        assert not os.path.exists(tmp_path / "manifest.json")
+
     def test_generation_is_deterministic(self, tmp_path, demo_dataset):
         other = str(tmp_path / "again")
         generate_demo_dataset(other, seed=1234)
