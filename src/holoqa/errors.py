@@ -14,7 +14,8 @@ class ApertureOutOfBounds(HoloQAError):
 
 
 class CorruptInput(HoloQAError):
-    """On-disk data size disagrees with its sidecar metadata or PGM header."""
+    """Malformed input file: on-disk data size disagrees with its sidecar
+    metadata or PGM header, or a manifest or MOS table is invalid."""
 
 
 class UnsupportedFormat(HoloQAError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .denoise import WienerParams, resolve_params, wiener_denoise
-from .errors import DegenerateRanks, NoOverlap, UnknownMetric
+from .errors import CorruptInput, DegenerateRanks, NoOverlap, UnknownMetric
 from .field import (
     ApertureSpec,
     QuantizedField,
@@ -94,9 +94,24 @@ class DatasetManifest:
         return load_quantized(os.path.join(self.root, entry.distorted[tag]))
 
 
+_STIMULUS_KEYS = ("id", "reference", "distorted", "aperture_size", "focal_offsets")
+
+
 def load_manifest(path: str) -> DatasetManifest:
+    """Read a dataset manifest; raises CorruptInput on invalid JSON or on a
+    missing ``stimuli`` list or stimulus key."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise CorruptInput(f"{path}: invalid manifest JSON: {exc}") from None
+    if "stimuli" not in doc:
+        raise CorruptInput(f"{path}: manifest lacks key 'stimuli'")
+    for i, s in enumerate(doc["stimuli"]):
+        missing = [k for k in _STIMULUS_KEYS if k not in s]
+        if missing:
+            raise CorruptInput(f"{path}: stimulus {s.get('id', f'#{i}')!r} "
+                               f"lacks key {missing[0]!r}")
     stimuli = tuple(
         StimulusEntry(
             s["id"],

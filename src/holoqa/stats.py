@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.optimize import least_squares
 from scipy.stats import rankdata, t as t_dist
 
-from .errors import DegenerateRanks, StimulusMismatch
+from .errors import CorruptInput, DegenerateRanks, StimulusMismatch
 
 
 class Display(Enum):
@@ -35,27 +36,57 @@ class MosRecord:
     n: int
 
 
+_MOS_COLUMNS = ("stimulus_id", "display", "view", "focal_index", "mos", "std", "n")
+
+
 def read_mos_csv(path: str) -> list[MosRecord]:
-    """Parse the MOS CSV (header: stimulus_id,display,view,focal_index,mos,std,n)."""
+    """Parse the MOS CSV (header: stimulus_id,display,view,focal_index,mos,std,n).
+
+    Raises CorruptInput on a missing column, a non-numeric field, an unknown
+    display, a non-finite mos or std, std < 0, n < 1 or a repeated
+    (stimulus_id, display, view, focal_index) key.
+    """
     records = []
+    keys = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(MosRecord(
-                row["stimulus_id"],
-                Display(row["display"]),
-                row["view"],
-                int(row["focal_index"]),
-                float(row["mos"]),
-                float(row["std"]),
-                int(row["n"]),
-            ))
+        reader = csv.DictReader(fh)
+        missing = [c for c in _MOS_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CorruptInput(f"{path}: missing MOS column(s): {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            try:
+                rec = MosRecord(
+                    row["stimulus_id"],
+                    Display(row["display"]),
+                    row["view"],
+                    int(row["focal_index"]),
+                    float(row["mos"]),
+                    float(row["std"]),
+                    int(row["n"]),
+                )
+            except (TypeError, ValueError) as exc:
+                raise CorruptInput(f"{where}: malformed MOS row: {exc}") from None
+            if not (np.isfinite(rec.mos) and np.isfinite(rec.std)):
+                raise CorruptInput(f"{where}: mos and std must be finite")
+            if rec.std < 0.0:
+                raise CorruptInput(f"{where}: std must be >= 0, got {rec.std}")
+            if rec.n < 1:
+                raise CorruptInput(f"{where}: n must be >= 1, got {rec.n}")
+            key = (rec.stimulus_id, rec.display, rec.view, rec.focal_index)
+            if key in keys:
+                raise CorruptInput(f"{where}: duplicate MOS record for {key[0]}/"
+                                   f"{rec.display.value} view={rec.view} "
+                                   f"focal={rec.focal_index}")
+            keys.add(key)
+            records.append(rec)
     return records
 
 
 def write_mos_csv(records, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["stimulus_id", "display", "view", "focal_index", "mos", "std", "n"])
+        w.writerow(_MOS_COLUMNS)
         for r in records:
             w.writerow([r.stimulus_id, r.display.value, r.view, r.focal_index,
                         repr(r.mos), repr(r.std), r.n])
@@ -157,45 +188,6 @@ def _logistic_jacobian(beta, x):
     return j
 
 
-def _lm_fit(x, y, beta0, max_iter=2000, rel_tol=1e-10):
-    """Damped Gauss-Newton (Levenberg-Marquardt) least squares."""
-    beta = np.asarray(beta0, dtype=np.float64).copy()
-    resid = _logistic(beta, x) - y
-    cost = float(resid @ resid)
-    lam = 1e-3
-    converged = False
-    for _ in range(max_iter):
-        jac = _logistic_jacobian(beta, x)
-        jtj = jac.T @ jac
-        jtr = jac.T @ resid
-        step_ok = False
-        for _ in range(50):
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12)), -jtr)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = beta + delta
-            if trial[3] == 0.0:
-                trial[3] = np.finfo(float).eps
-            trial_resid = _logistic(trial, x) - y
-            trial_cost = float(trial_resid @ trial_resid)
-            if trial_cost <= cost:
-                step_ok = True
-                break
-            lam *= 10.0
-        if not step_ok:
-            converged = True
-            break
-        rel_change = abs(cost - trial_cost) / max(cost, np.finfo(float).tiny)
-        beta, resid, cost = trial, trial_resid, trial_cost
-        lam = max(lam * 0.1, 1e-12)
-        if rel_change < rel_tol:
-            converged = True
-            break
-    return beta, float(np.sqrt(cost)), converged
-
-
 def fit_logistic4(scores, mos) -> LogisticFit:
     """Least-squares 4-parameter logistic fit of MOS against metric scores.
 
@@ -229,14 +221,13 @@ def fit_logistic4(scores, mos) -> LogisticFit:
         wide,
     ]))
 
-    best = None
-    for beta0 in starts:
-        beta, rnorm, conv = _lm_fit(x, y, beta0)
-        if best is None or rnorm < best[1]:
-            best = (beta, rnorm, conv)
-    beta, rnorm, conv = best
-    return LogisticFit(float(beta[0]), float(beta[1]), float(beta[2]),
-                       float(beta[3]), conv, rnorm)
+    fits = [least_squares(lambda b: _logistic(b, x) - y, beta0,
+                          jac=lambda b: _logistic_jacobian(b, x), method="lm")
+            for beta0 in starts]
+    best = min(fits, key=lambda res: np.linalg.norm(res.fun))
+    b1, b2, b3, b4 = (float(v) for v in best.x)
+    return LogisticFit(b1, b2, b3, b4, bool(best.status > 0),
+                       float(np.linalg.norm(best.fun)))
 
 
 def rmse_fitted(fit: LogisticFit, scores, mos) -> float:

@@ -1,19 +1,21 @@
-"""Record the golden per-stimulus raw scores the tier-1 suite checks.
+"""Record the golden report tables the tier-1 suite checks.
 
     PYTHONPATH=src python3 tests/golden/record.py
 
 Generates the demo dataset (``generate_demo_dataset(seed=1234)``) in a
-temporary directory, runs every track with its default metrics and writes
-``tests/golden/<track>_raw_scores.csv`` with each value as ``repr(float)``.
-Run it only when a change to the scores is intended.
+temporary directory, runs every track with its default metrics and copies
+the per-stimulus raw scores (``<track>_raw_scores.csv``) and the per-display
+criteria tables (``<track>_<display>_criteria.csv``) that ``emit_report``
+writes into ``tests/golden/``. Run it only when a change to the scores or
+criteria is intended.
 """
 
-import csv
 import os
+import shutil
 import sys
 import tempfile
 
-from holoqa.harness import TRACKS, TrackConfig, load_manifest, run_track
+from holoqa.harness import TRACKS, TrackConfig, emit_report, load_manifest, run_track
 from holoqa.stats import read_mos_csv
 from holoqa.synth import generate_demo_dataset
 
@@ -24,16 +26,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as root:
         manifest = load_manifest(generate_demo_dataset(root, seed=1234))
         mos = read_mos_csv(os.path.join(root, "mos.csv"))
+        out = os.path.join(root, "reports")
         for track in TRACKS:
             report = run_track(manifest, mos, TrackConfig(track))
-            path = os.path.join(HERE, f"{track}_raw_scores.csv")
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["stimulus_id", "view", "focal_index", "metric", "value"])
-                for rec in report.raw_scores:
-                    w.writerow([rec.stimulus_id, rec.view, rec.focal_index,
-                                rec.metric_id, repr(float(rec.value))])
-            print(path, flush=True)
+            for path in emit_report(report, out):
+                name = os.path.basename(path)
+                if name.endswith(("_raw_scores.csv", "_criteria.csv")):
+                    shutil.copyfile(path, os.path.join(HERE, name))
+                    print(os.path.join(HERE, name), flush=True)
     return 0
 
 

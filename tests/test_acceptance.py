@@ -24,6 +24,7 @@ from holoqa.metrics import (
     perfect_value,
 )
 from holoqa.stats import (
+    CRITERIA,
     CriteriaRow,
     Display,
     LogisticFit,
@@ -235,6 +236,24 @@ def _assert_golden_raw_scores(report):
             assert abs(rec.value - w) <= 1e-9 * abs(w), (key, rec.value, w)
 
 
+def _assert_golden_criteria(report):
+    """Every criteria cell equals tests/golden/<track>_<display>_criteria.csv
+    at rtol 1e-9, NaN (degenerate metric) matching NaN."""
+    for display, rows in report.criteria.items():
+        name = f"{report.track}_{display.value}_criteria.csv"
+        with open(os.path.join(GOLDEN_DIR, name), newline="", encoding="utf-8") as fh:
+            golden = list(csv.DictReader(fh))
+        assert [r.metric_id for r in rows] == [g["metric"] for g in golden], name
+        for row, want in zip(rows, golden):
+            for col in CRITERIA + ("srocc_signed", "krcc_signed", "pcc_nofit_signed"):
+                got, w = getattr(row, col), float(want[col])
+                key = (name, row.metric_id, col)
+                if math.isnan(w) or math.isnan(got):
+                    assert math.isnan(w) and math.isnan(got), key
+                else:
+                    assert abs(got - w) <= 1e-9 * abs(w), (key, got, w)
+
+
 def test_criterion_09_end_to_end_desk_scale(demo_dataset, tmp_path):
     manifest = load_manifest(demo_dataset["manifest"])
     mos = read_mos_csv(demo_dataset["mos"])
@@ -258,6 +277,7 @@ def test_criterion_09_end_to_end_desk_scale(demo_dataset, tmp_path):
         assert len(report.rank_sums) == n_metrics
         assert os.path.exists(os.path.join(out, f"{track}_ranksums.csv"))
         _assert_golden_raw_scores(report)
+        _assert_golden_criteria(report)
 
     # byte-identical re-run of one track
     report, config, out = reports["qa1"]

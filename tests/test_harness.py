@@ -167,6 +167,56 @@ def _cli(*args):
                           capture_output=True, text=True)
 
 
+def _bad_mos(edit):
+    """Case maker: the demo MOS table with ``edit`` applied to its rows
+    (header first), next to the demo manifest."""
+    def make(demo, tmp_path):
+        with open(demo["mos"], newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        path = tmp_path / "mos.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        return demo["manifest"], str(path)
+    return make
+
+
+def _bad_manifest(edit):
+    """Case maker: the demo manifest text passed through ``edit``."""
+    def make(demo, tmp_path):
+        with open(demo["manifest"], encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "manifest.json"
+        path.write_text(edit(text), encoding="utf-8")
+        return str(path), demo["mos"]
+    return make
+
+
+def _set_first_row(column, value):
+    def edit(rows):
+        rows[1][rows[0].index(column)] = value
+    return edit
+
+
+def _drop_reference(text):
+    doc = json.loads(text)
+    del doc["stimuli"][0]["reference"]
+    return json.dumps(doc)
+
+
+BAD_INPUTS = {
+    "mos-missing-column": _bad_mos(lambda rows: [r.pop() for r in rows]),
+    "mos-non-numeric": _bad_mos(_set_first_row("mos", "high")),
+    "mos-unknown-display": _bad_mos(_set_first_row("display", "VR")),
+    "mos-non-finite": _bad_mos(_set_first_row("std", "nan")),
+    "mos-negative-std": _bad_mos(_set_first_row("std", "-1")),
+    "mos-zero-n": _bad_mos(_set_first_row("n", "0")),
+    "mos-duplicate-key": _bad_mos(lambda rows: rows.append(list(rows[1]))),
+    "manifest-no-reference": _bad_manifest(_drop_reference),
+    "manifest-invalid-json": _bad_manifest(lambda text: text[:len(text) // 2]),
+}
+
+
 class TestCli:
     def test_version(self):
         out = _cli("--version")
@@ -231,6 +281,15 @@ class TestCli:
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(content)
         out = _cli("denoise", "--in", str(bad), "--out", str(tmp_path / "d.pgm"))
+        assert out.returncode == 1
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("make", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bench_malformed_input_exit_1(self, demo_dataset, tmp_path, make):
+        manifest, mos = make(demo_dataset, tmp_path)
+        out = _cli("bench", "--manifest", manifest, "--mos", mos, "--track", "qa1",
+                   "--metrics", "mse", "--out", str(tmp_path / "rep"))
         assert out.returncode == 1
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("error: ")

@@ -1,6 +1,9 @@
 """Tests for correlation statistics, logistic fitting, significance testing
 and rank aggregation, against brute-force definitional oracles."""
 
+import csv
+import os
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,8 @@ from holoqa.stats import (
     srocc,
     write_mos_csv,
 )
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def _brute_srocc(x, y):
@@ -121,6 +126,7 @@ class TestLogisticFit:
         x = np.sort(rng.uniform(-2.0, 3.0, 40))
         y = LogisticFit(*beta, True, 0.0).predict(x)
         fit = fit_logistic4(x, y)
+        assert fit.converged
         recovered = (fit.b1, fit.b2, fit.b3, abs(fit.b4))
         for got, want in zip(recovered, beta):
             assert got == pytest.approx(want, rel=0.01)
@@ -142,6 +148,46 @@ class TestLogisticFit:
     def test_needs_five_samples(self):
         with pytest.raises(DegenerateRanks):
             fit_logistic4([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+
+    def test_optimum_at_infinity_not_converged(self):
+        # exp(3x) is the lower tail of a logistic with |b4| = 1/3: the fit
+        # only approaches it as b2 and b3 run off to infinity, so the solver
+        # exhausts its evaluation budget
+        x = np.linspace(0.0, 1.0, 20)
+        fit = fit_logistic4(x, np.exp(3.0 * x))
+        assert fit.converged is False
+
+
+# Exempt from the per-fit check below: the former hand-rolled loop reached a
+# near-step here (|b4| = 8.7e-6, its threshold between two scores 5e-6
+# apart) that least_squares does not reach from the standard starts; its
+# rmse rose 0.435%. The criteria golden still pins the value.
+RMSE_EXEMPT = {("qa4", "2D", "ssrmt")}
+# rows where the hand-rolled loop stalled short of the optimum
+STALLED = {("qa2", "2D", "uqi"), ("qa1", "2D", "msssim"),
+           ("qa1", "OPT", "uqi"), ("qa3", "2D", "nmse")}
+
+
+def test_demo_fits_no_worse_than_hand_rolled_loop():
+    """Per (track, display, metric) rmse of the criteria golden (demo dataset
+    1234) against tests/golden/parent_fit_rmse.csv, the same rows recorded
+    with record.py under the former hand-rolled Levenberg-Marquardt loop."""
+    with open(os.path.join(GOLDEN_DIR, "parent_fit_rmse.csv"), newline="",
+              encoding="utf-8") as fh:
+        parent = {(r["track"], r["display"], r["metric"]): float(r["rmse"])
+                  for r in csv.DictReader(fh)}
+    new = {}
+    for track, display in {key[:2] for key in parent}:
+        name = f"{track}_{display}_criteria.csv"
+        with open(os.path.join(GOLDEN_DIR, name), newline="", encoding="utf-8") as fh:
+            for r in csv.DictReader(fh):
+                new[(track, display, r["metric"])] = float(r["rmse"])
+    assert len(parent) == 186 and set(new) == set(parent)
+    for key, old in parent.items():
+        if key not in RMSE_EXEMPT:
+            assert new[key] <= old * (1.0 + 1e-4), (key, new[key], old)
+    for key in STALLED:
+        assert new[key] < 0.99 * parent[key], (key, new[key], parent[key])
 
 
 class TestOutlierRatio:
