@@ -20,9 +20,10 @@ import numpy as np
 
 from . import __version__
 from .denoise import AUTO, WienerParams, wiener_denoise
-from .errors import HoloQAError, UnknownMetric
+from .errors import CorruptInput, HoloQAError, UnknownMetric
 from .field import (
     ApertureSpec,
+    _read_meta,
     dequantize_components,
     load_field,
     load_quantized,
@@ -30,9 +31,9 @@ from .field import (
 )
 from .harness import TrackConfig, emit_report, load_manifest, run_track
 from .metrics import (
-    ALL_METRIC_IDS,
     COMPLEX_METRICS,
     MAP_METRICS,
+    check_metric_ids,
     evaluate_complex,
     evaluate_real,
 )
@@ -51,20 +52,12 @@ from .transform import (
 
 
 def _parse_metrics(value: str) -> tuple:
-    ids = tuple(m.strip() for m in value.split(",") if m.strip())
-    for mid in ids:
-        if mid not in ALL_METRIC_IDS:
-            raise UnknownMetric(
-                f"unknown metric {mid!r}; known: {', '.join(ALL_METRIC_IDS)}"
-            )
-    return ids
+    return check_metric_ids(m.strip() for m in value.split(",") if m.strip())
 
 
 def _load_any_field(base: str):
     """Load a field base as float32 or quantized, whichever the sidecar says."""
-    with open(base + ".meta.json", "r", encoding="utf-8") as fh:
-        dtype = json.load(fh).get("dtype")
-    if dtype == "u8":
+    if _read_meta(base)["dtype"] == "u8":
         return dequantize_components(load_quantized(base))
     return load_field(base)
 
@@ -100,7 +93,10 @@ def _cmd_convert(args) -> int:
     field = _load_any_field(args.input)
     if args.inverse:
         with open(args.plan, "r", encoding="utf-8") as fh:
-            plan = ConversionPlan(**json.load(fh))
+            try:
+                plan = ConversionPlan(**json.load(fh))
+            except (ValueError, TypeError) as exc:
+                raise CorruptInput(f"{args.plan}: invalid conversion plan: {exc}") from None
         out = fresnel_to_fourier(field, plan)
         store_field(out, args.out)
     else:
@@ -146,12 +142,12 @@ def _cmd_score(args) -> int:
         if mid in COMPLEX_METRICS:
             if not field_mode:
                 raise UnknownMetric(f"{mid!r} needs complex field inputs, not views")
-            score = evaluate_complex(mid, ref, dist)
+            value = evaluate_complex(mid, ref, dist)
         elif field_mode:
-            score = evaluate_real(mid, np.abs(ref), np.abs(dist))
+            value = evaluate_real(mid, np.abs(ref), np.abs(dist))
         else:
-            score = evaluate_real(mid, ref, dist)
-        print(f"{mid}\t{score.value!r}")
+            value = evaluate_real(mid, ref, dist)
+        print(f"{mid}\t{value!r}")
         if args.emit_maps and mid in MAP_METRICS and not field_mode:
             qmap = MAP_METRICS[mid](ref, dist)
             lo, hi = float(qmap.min()), float(qmap.max())
@@ -252,6 +248,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "convert" and args.inverse and args.plan is None:
+        parser.error("convert --inverse requires --plan")
     try:
         return args.run(args)
     except UnknownMetric as exc:

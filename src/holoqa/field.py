@@ -10,6 +10,7 @@ metadata and, for quantized fields, the affine dequantization records.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field as _field
 from enum import Enum
@@ -244,9 +245,46 @@ def store_field(f: WaveField, base: str) -> None:
         json.dump(meta, fh, indent=1, sort_keys=True)
 
 
+_NUMBER = (int, float)
+# required sidecar keys and their JSON types; dtype u8 adds the affine records
+_META_TYPES = {"rows": int, "cols": int, "dtype": str,
+               "pixel_pitch": _NUMBER, "wavelength": _NUMBER}
+_AFFINE_TYPES = {"offset": _NUMBER, "scale": _NUMBER}
+
+
+def _check_keys(path: str, doc: dict, types: dict, where: str = "sidecar") -> None:
+    """Raise CorruptInput unless ``doc`` holds every key of ``types`` with a
+    value of that JSON type (a bool is no number; a number is finite)."""
+    for key, kind in types.items():
+        if key not in doc:
+            raise CorruptInput(f"{path}: {where} lacks key {key!r}")
+        value = doc[key]
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+        if ok and kind is _NUMBER:
+            ok = math.isfinite(value)
+        if not ok:
+            raise CorruptInput(f"{path}: {where} key {key!r} holds {value!r}")
+
+
 def _read_meta(base: str) -> dict:
-    with open(_meta_path(base), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """The sidecar document of ``base``; raises CorruptInput on invalid JSON,
+    a non-object document or a missing or mistyped key (the two affine
+    records too for dtype u8), UnsupportedFormat on an unknown form."""
+    path = _meta_path(base)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise CorruptInput(f"{path}: invalid sidecar JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CorruptInput(f"{path}: sidecar is not a JSON object")
+    _check_keys(path, meta, _META_TYPES)
+    if "focus_offset" in meta:
+        _check_keys(path, meta, {"focus_offset": _NUMBER})
+    if meta["dtype"] == "u8":
+        _check_keys(path, meta, {"real_affine": dict, "imag_affine": dict})
+        for rec in ("real_affine", "imag_affine"):
+            _check_keys(path, meta[rec], _AFFINE_TYPES, rec)
     if meta.get("form") not in _FORM_TAGS:
         raise UnsupportedFormat(f"unknown hologram form {meta.get('form')!r}")
     return meta
@@ -312,8 +350,8 @@ def load_quantized(base: str) -> QuantizedField:
     im = _read_plane(base + ".im.u8", "u8", rows, cols)
     return QuantizedField(
         re, im,
-        AffineRecord(**meta["real_affine"]),
-        AffineRecord(**meta["imag_affine"]),
+        AffineRecord(meta["real_affine"]["offset"], meta["real_affine"]["scale"]),
+        AffineRecord(meta["imag_affine"]["offset"], meta["imag_affine"]["scale"]),
         float(meta["pixel_pitch"]),
         float(meta["wavelength"]),
         _FORM_TAGS[meta["form"]],

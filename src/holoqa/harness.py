@@ -43,8 +43,7 @@ from .metrics import (
     ALL_METRIC_IDS,
     COMPLEX_METRICS,
     REAL_METRICS,
-    DEFAULT_PARAMS,
-    MetricParams,
+    check_metric_ids,
     evaluate_complex,
     score_components_avg,
     evaluate_real,
@@ -137,22 +136,17 @@ class TrackConfig:
     upsample_m: int = 2
     clip_percentile: float = 99.9
     wiener: WienerParams = _dc_field(default_factory=WienerParams)
-    params: MetricParams = DEFAULT_PARAMS
 
     def resolved_metrics(self) -> tuple:
         if self.track not in TRACKS:
             raise UnknownMetric(f"unknown track {self.track!r}; known: {', '.join(TRACKS)}")
         if self.metrics:
-            ids = tuple(self.metrics)
+            ids = check_metric_ids(self.metrics)
         elif self.track in ("qa1", "qa2"):
             ids = ALL_METRIC_IDS
         else:
             ids = tuple(REAL_METRICS)
         for mid in ids:
-            if mid not in ALL_METRIC_IDS:
-                raise UnknownMetric(
-                    f"unknown metric {mid!r}; known: {', '.join(ALL_METRIC_IDS)}"
-                )
             if self.track in ("qa3", "qa4") and mid in COMPLEX_METRICS:
                 raise UnknownMetric(
                     f"{mid!r} consumes complex fields and is not defined on "
@@ -189,8 +183,7 @@ def _view_aperture(view: str, rows: int, cols: int, size) -> ApertureSpec:
     return ApertureSpec.right_corner(rows, cols, h, w)
 
 
-def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField,
-                      params: MetricParams):
+def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField):
     """qa1/qa2 scoring on a pair of quantized hologram crops."""
     out = {}
     ref_c = dist_c = None
@@ -201,11 +194,9 @@ def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField,
             if ref_c is None:
                 ref_c = dequantize_components(ref_q).data
                 dist_c = dequantize_components(dist_q).data
-            out[mid] = evaluate_complex(mid, ref_c, dist_c, params,
-                                        scratch=complex_scratch).value
+            out[mid] = evaluate_complex(mid, ref_c, dist_c, scratch=complex_scratch)
         else:
-            out[mid] = score_components_avg(mid, ref_q, dist_q, params,
-                                            scratch=planes_scratch).value
+            out[mid] = score_components_avg(mid, ref_q, dist_q, scratch=planes_scratch)
     return out
 
 
@@ -227,8 +218,7 @@ def _field_pair_scores(config: TrackConfig, manifest: DatasetManifest,
         ap = _view_aperture(view, ref_q.rows, ref_q.cols, ap_size)
         ref_crop = extract_aperture_quantized(ref_q, ap)
         dist_crop = extract_aperture_quantized(dist_q, ap)
-        samples.append((view, -1, _score_field_pair(metric_ids, ref_crop, dist_crop,
-                                                    config.params)))
+        samples.append((view, -1, _score_field_pair(metric_ids, ref_crop, dist_crop)))
     return samples
 
 
@@ -257,9 +247,8 @@ def _view_pair_scores(config: TrackConfig, manifest: DatasetManifest,
                     mid,
                     ref_view.pixels.astype(np.float64),
                     dist_view.pixels.astype(np.float64),
-                    config.params,
                     scratch=scratch,
-                ).value
+                )
                 for mid in metric_ids
             }
             samples.append((view, fi, scores))

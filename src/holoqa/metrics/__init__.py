@@ -4,6 +4,9 @@ Registry ids (used in reports and on the CLI): mse, nmse, psnr, ssrm,
 ssrmt, ssim, iwssim, msssim, uqi, gmsd, fsim, nlpd, vifp, plus the
 complex-capable variants mse_C, nmse_C, psnr_C, ssrm_C, ssrmt_C.
 
+Each metric is a plain ``(ref, dist) -> float`` function in its standard
+formulation; its constants are fixed module values next to it.
+
 Scratch: the ``scratch`` dict that ``evaluate_real``/``evaluate_complex`` take
 (``score_components_avg``: one per plane) lets the metrics of one (ref, dist)
 pair share intermediates: ssrm/ssrmt (and _C) one FFT-magnitude and rank pass
@@ -19,7 +22,6 @@ import numpy as np
 from ..errors import UnknownMetric
 from ..field import QuantizedField
 from .gradient import fsim, gmsd, gmsd_map
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
 from .pointwise import mse, nmse, psnr
 from .pyramid import nlpd
 from .spectral import ssrm, ssrmt
@@ -49,11 +51,6 @@ COMPLEX_METRICS = tuple(f"{mid}_C" for mid in COMPLEX_CAPABLE)
 
 ALL_METRIC_IDS = tuple(REAL_METRICS) + COMPLEX_METRICS
 
-# distance-type metrics: lower is better, 0 is perfect
-DISTANCE_METRICS = frozenset(
-    {"mse", "nmse", "gmsd", "nlpd", "mse_C", "nmse_C"}
-)
-
 # metrics that read and fill a scratch
 _SCRATCH_METRICS = frozenset({"ssrm", "ssrmt", "ssim", "iwssim", "msssim"})
 
@@ -61,8 +58,18 @@ _SCRATCH_METRICS = frozenset({"ssrm", "ssrmt", "ssim", "iwssim", "msssim"})
 MAP_METRICS = {"ssim": ssim_map, "gmsd": gmsd_map}
 
 
-def is_distance(metric_id: str) -> bool:
-    return metric_id in DISTANCE_METRICS
+def check_metric_ids(ids) -> tuple:
+    """``ids`` as a tuple; raises UnknownMetric on an id the registry lacks
+    or one that appears twice."""
+    ids = tuple(ids)
+    for mid in ids:
+        if mid not in ALL_METRIC_IDS:
+            raise UnknownMetric(
+                f"unknown metric {mid!r}; known: {', '.join(ALL_METRIC_IDS)}"
+            )
+        if ids.count(mid) > 1:
+            raise UnknownMetric(f"metric {mid!r} listed more than once")
+    return ids
 
 
 def perfect_value(metric_id: str) -> float:
@@ -75,23 +82,21 @@ def perfect_value(metric_id: str) -> float:
     return 1.0
 
 
-def _run(metric_id: str, ref, dist, params: MetricParams, scratch) -> MetricScore:
+def _run(metric_id: str, ref, dist, scratch) -> float:
     kwargs = {"scratch": scratch} if metric_id in _SCRATCH_METRICS else {}
-    return REAL_METRICS[metric_id](ref, dist, params, **kwargs)
+    return REAL_METRICS[metric_id](ref, dist, **kwargs)
 
 
-def evaluate_real(metric_id: str, ref, dist, params: MetricParams = DEFAULT_PARAMS,
-                  scratch: dict | None = None) -> MetricScore:
+def evaluate_real(metric_id: str, ref, dist, scratch: dict | None = None) -> float:
     """Run a real-valued metric on a pair of real 2D grids."""
     if metric_id not in REAL_METRICS:
         raise UnknownMetric(
             f"unknown metric {metric_id!r}; known: {', '.join(ALL_METRIC_IDS)}"
         )
-    return _run(metric_id, ref, dist, params, scratch)
+    return _run(metric_id, ref, dist, scratch)
 
 
-def evaluate_complex(metric_id: str, ref, dist, params: MetricParams = DEFAULT_PARAMS,
-                     scratch: dict | None = None) -> MetricScore:
+def evaluate_complex(metric_id: str, ref, dist, scratch: dict | None = None) -> float:
     """Run a complex-capable metric (id with "_C" suffix) on complex grids."""
     if metric_id not in COMPLEX_METRICS:
         raise UnknownMetric(
@@ -100,18 +105,16 @@ def evaluate_complex(metric_id: str, ref, dist, params: MetricParams = DEFAULT_P
         )
     ref = np.asarray(ref, dtype=np.complex128)
     dist = np.asarray(dist, dtype=np.complex128)
-    return _run(metric_id[:-2], ref, dist, params, scratch)
+    return _run(metric_id[:-2], ref, dist, scratch)
 
 
 def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedField,
-                         params: MetricParams = DEFAULT_PARAMS,
-                         scratch: tuple = (None, None)) -> MetricScore:
+                         scratch: tuple = (None, None)) -> float:
     """Apply a real-valued metric to the 8-bit real planes and the 8-bit
     imaginary planes separately and return the arithmetic mean. ``scratch``
     is a (real-plane, imaginary-plane) pair of scratch dicts."""
     re_score = evaluate_real(metric_id, ref.real_plane.astype(np.float64),
-                             dist.real_plane.astype(np.float64), params, scratch[0])
+                             dist.real_plane.astype(np.float64), scratch[0])
     im_score = evaluate_real(metric_id, ref.imag_plane.astype(np.float64),
-                             dist.imag_plane.astype(np.float64), params, scratch[1])
-    return MetricScore(metric_id, ScoreMode.REAL_AVG,
-                       0.5 * (re_score.value + im_score.value))
+                             dist.imag_plane.astype(np.float64), scratch[1])
+    return 0.5 * (re_score + im_score)

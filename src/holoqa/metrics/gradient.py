@@ -7,13 +7,15 @@ import functools
 import numpy as np
 from scipy.ndimage import correlate
 
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
 from .ssim import _check_pair
 
 _PREWITT_X = np.array([[1.0, 0.0, -1.0]] * 3) / 3.0
 _SCHARR_X = np.array([[3.0, 0.0, -3.0],
                       [10.0, 0.0, -10.0],
                       [3.0, 0.0, -3.0]]) / 16.0
+_GMSD_T = 170.0
+_FSIM_T1 = 0.85
+_FSIM_T2 = 160.0
 
 
 def _gradient_magnitude(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -22,18 +24,18 @@ def _gradient_magnitude(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
-def gmsd_map(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> np.ndarray:
+def gmsd_map(ref, dist) -> np.ndarray:
     """Gradient-magnitude similarity map (Prewitt gradients, constant T)."""
     ref, dist = _check_pair(ref, dist)
     g_r = _gradient_magnitude(ref, _PREWITT_X)
     g_d = _gradient_magnitude(dist, _PREWITT_X)
-    t = params.gmsd_t
+    t = _GMSD_T
     return (2.0 * g_r * g_d + t) / (g_r * g_r + g_d * g_d + t)
 
 
-def gmsd(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def gmsd(ref, dist) -> float:
     """Population standard deviation of the similarity map; 0 is perfect."""
-    return MetricScore("gmsd", ScoreMode.REAL, float(gmsd_map(ref, dist, params).std()))
+    return float(gmsd_map(ref, dist).std())
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
     return energy / (amp_sum + _PC_EPS)
 
 
-def fsim(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def fsim(ref, dist) -> float:
     """Feature similarity: phase congruency and Scharr gradient similarity,
     pooled with max(PC_ref, PC_dist) weights. Grayscale only (T3 unused)."""
     ref, dist = _check_pair(ref, dist)
@@ -110,14 +112,12 @@ def fsim(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
     pc_d = phase_congruency(dist)
     g_r = _gradient_magnitude(ref, _SCHARR_X)
     g_d = _gradient_magnitude(dist, _SCHARR_X)
-    t1, t2 = params.fsim_t1, params.fsim_t2
+    t1, t2 = _FSIM_T1, _FSIM_T2
     s_pc = (2.0 * pc_r * pc_d + t1) / (pc_r * pc_r + pc_d * pc_d + t1)
     s_g = (2.0 * g_r * g_d + t2) / (g_r * g_r + g_d * g_d + t2)
     pcm = np.maximum(pc_r, pc_d)
     weight = pcm.sum()
     if weight == 0.0:
         # featureless pair (constant images): similarity maps are all 1
-        value = float((s_pc * s_g).mean())
-    else:
-        value = float((s_pc * s_g * pcm).sum() / weight)
-    return MetricScore("fsim", ScoreMode.REAL, value)
+        return float((s_pc * s_g).mean())
+    return float((s_pc * s_g * pcm).sum() / weight)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateReference, DimMismatch
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
 
 
 def _as_pair(ref, dist):
@@ -23,31 +22,30 @@ def mse_value(ref, dist) -> float:
     return float(np.mean(np.abs(dist - ref) ** 2))
 
 
-def mse(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
-    r, d, cplx = _as_pair(ref, dist)
-    mode = ScoreMode.COMPLEX if cplx else ScoreMode.REAL
-    return MetricScore("mse_C" if cplx else "mse", mode, mse_value(r, d))
+def mse(ref, dist) -> float:
+    r, d, _ = _as_pair(ref, dist)
+    return mse_value(r, d)
 
 
-def nmse(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def nmse(ref, dist) -> float:
     """Squared error normalized by the squared Frobenius norm of the reference."""
-    r, d, cplx = _as_pair(ref, dist)
+    r, d, _ = _as_pair(ref, dist)
     denom = float(np.sum(np.abs(r) ** 2))
     if denom == 0.0:
         raise DegenerateReference("zero-energy reference in NMSE")
-    value = float(np.sum(np.abs(d - r) ** 2) / denom)
-    mode = ScoreMode.COMPLEX if cplx else ScoreMode.REAL
-    return MetricScore("nmse_C" if cplx else "nmse", mode, value)
+    return float(np.sum(np.abs(d - r) ** 2) / denom)
 
 
-def psnr(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+PSNR_PEAK_REAL = 255.0      # 8-bit planes and views
+PSNR_PEAK_COMPLEX = 1.0     # dequantized complex fields
+
+
+def psnr(ref, dist) -> float:
     """10*log10(peak^2 / MSE); +inf sentinel on identical inputs.
 
     Peak is 255 for real inputs and 1 for complex inputs.
     """
     r, d, cplx = _as_pair(ref, dist)
     err = mse_value(r, d)
-    peak = params.psnr_peak_complex if cplx else params.psnr_peak_real
-    value = float("inf") if err == 0.0 else float(10.0 * np.log10(peak * peak / err))
-    mode = ScoreMode.COMPLEX if cplx else ScoreMode.REAL
-    return MetricScore("psnr_C" if cplx else "psnr", mode, value)
+    peak = PSNR_PEAK_COMPLEX if cplx else PSNR_PEAK_REAL
+    return float("inf") if err == 0.0 else float(10.0 * np.log10(peak * peak / err))

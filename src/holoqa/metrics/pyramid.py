@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import correlate
 
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
 from .ssim import _check_pair
 
 _BINOMIAL = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 256.0
@@ -15,6 +14,7 @@ _BINOMIAL = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 256
 _SIGMAS = (0.0248, 0.0185, 0.0179, 0.0191, 0.0220, 0.2782)
 _DN_WIN = np.full((3, 3), 1.0 / 9.0)
 _DN_WIN[1, 1] = 0.0
+_LEVELS = 5
 
 
 def _blur(img: np.ndarray) -> np.ndarray:
@@ -46,12 +46,11 @@ def _normalized_pyramid(img: np.ndarray, levels: int):
     return out
 
 
-def nlpd(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def nlpd(ref, dist) -> float:
     """Mean over pyramid levels of the RMS difference between the normalized
-    bands; 0 is perfect. Inputs are scaled by the dynamic range first."""
+    bands; 0 is perfect. Inputs are scaled by the 8-bit dynamic range first."""
     ref, dist = _check_pair(ref, dist)
-    scale = params.dynamic_range
-    pyr_r = _normalized_pyramid(ref / scale, params.nlpd_levels)
-    pyr_d = _normalized_pyramid(dist / scale, params.nlpd_levels)
+    pyr_r = _normalized_pyramid(ref / 255.0, _LEVELS)
+    pyr_d = _normalized_pyramid(dist / 255.0, _LEVELS)
     dists = [np.sqrt(np.mean((a - b) ** 2)) for a, b in zip(pyr_r, pyr_d)]
-    return MetricScore("nlpd", ScoreMode.REAL, float(np.mean(dists)))
+    return float(np.mean(dists))

@@ -19,18 +19,18 @@ import numpy as np
 from scipy.stats import rankdata
 
 from ..errors import DegenerateReference
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode, from_scratch
+from .params import from_scratch
 from .pointwise import _as_pair
 
 
 def _spectral_ranks(ref, dist):
-    """FFT magnitudes, their descending mid-ranks and the complex flag of a pair."""
-    ref, dist, cplx = _as_pair(ref, dist)
+    """FFT magnitudes of a pair and their descending mid-ranks."""
+    ref, dist, _ = _as_pair(ref, dist)
     a_ref = np.abs(np.fft.fft2(ref.astype(np.complex128))).ravel()
     a_dist = np.abs(np.fft.fft2(dist.astype(np.complex128))).ravel()
     r_ref = rankdata(-a_ref, method="average")
     r_dist = rankdata(-a_dist, method="average")
-    return a_ref, a_dist, r_ref, r_dist, cplx
+    return a_ref, a_dist, r_ref, r_dist
 
 
 def _ac_ranks(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -54,10 +54,9 @@ def _rank_agreement(a_ref: np.ndarray, r_ref: np.ndarray, r_dist: np.ndarray) ->
     return float(np.sum(a_ref * agreement) / total)
 
 
-def ssrm(ref, dist, params: MetricParams = DEFAULT_PARAMS,
-         scratch: dict | None = None) -> MetricScore:
+def ssrm(ref, dist, scratch: dict | None = None) -> float:
     """SSRM: DC term scored separately, blended by its magnitude share."""
-    a_ref, a_dist, r_ref, r_dist, cplx = from_scratch(
+    a_ref, a_dist, r_ref, r_dist = from_scratch(
         scratch, "spectral_ranks", lambda: _spectral_ranks(ref, dist))
     dc_ref, dc_dist = a_ref[0], a_dist[0]
     ac_ref = a_ref[1:]
@@ -74,18 +73,12 @@ def ssrm(ref, dist, params: MetricParams = DEFAULT_PARAMS,
                                    _ac_ranks(a_dist, r_dist))
         alpha = float(dc_ref / a_ref.sum())
     if dc_score == ac_score:
-        value = dc_score
-    else:
-        value = alpha * dc_score + (1.0 - alpha) * ac_score
-    mode = ScoreMode.COMPLEX if cplx else ScoreMode.REAL
-    return MetricScore("ssrm_C" if cplx else "ssrm", mode, value)
+        return dc_score
+    return alpha * dc_score + (1.0 - alpha) * ac_score
 
 
-def ssrmt(ref, dist, params: MetricParams = DEFAULT_PARAMS,
-          scratch: dict | None = None) -> MetricScore:
+def ssrmt(ref, dist, scratch: dict | None = None) -> float:
     """SSRMt: the DC term is ranked just like any other coefficient."""
-    a_ref, _, r_ref, r_dist, cplx = from_scratch(
+    a_ref, _, r_ref, r_dist = from_scratch(
         scratch, "spectral_ranks", lambda: _spectral_ranks(ref, dist))
-    value = _rank_agreement(a_ref, r_ref, r_dist)
-    mode = ScoreMode.COMPLEX if cplx else ScoreMode.REAL
-    return MetricScore("ssrmt_C" if cplx else "ssrmt", mode, value)
+    return _rank_agreement(a_ref, r_ref, r_dist)

@@ -4,7 +4,8 @@ All operate on 2D real grids (8-bit data as float). Local statistics are
 computed with valid-mode window filtering; the SSIM map uses the two-factor
 form l * cs with cs = (2*cov + C2)/(var_r + var_d + C2), which is the exact
 algebraic reduction of the luminance/contrast/structure product when
-C3 = C2/2 and the exponents are (1, 1, 1).
+C3 = C2/2 and the exponents are (1, 1, 1). The constants are the standard
+ones for 8-bit input (dynamic range L = 255).
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from ..errors import DegenerateReference, DimMismatch, InputTooSmall
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode, from_scratch
+from .params import from_scratch
+
+_WIN = 11                   # Gaussian window side
+_WIN_SIGMA = 1.5
+_C1 = (0.01 * 255.0) ** 2
+_C2 = (0.03 * 255.0) ** 2
+# MS-SSIM / IW-SSIM exponent weights, finest scale first; one scale each
+_MSSSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
+_UQI_BLOCK = 8
 
 
 def _check_pair(ref, dist):
@@ -41,36 +50,29 @@ def _local_stats(ref, dist, win):
     return mu_r, mu_d, var_r, var_d, cov
 
 
-def _lcs_maps(ref, dist, params: MetricParams, scratch: dict | None = None):
+def _lcs_maps(ref, dist, scratch: dict | None = None):
     """Luminance map and combined contrast-structure map (C3 = C2/2 form);
     SSIM, MS-SSIM and IW-SSIM share the full-size pair's through ``scratch``."""
     def compute():
-        win = gaussian_window(params.ssim_window, params.ssim_sigma)
+        win = gaussian_window(_WIN, _WIN_SIGMA)
         mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, win)
-        c1, c2 = params.c1, params.c2
-        lum = (2.0 * mu_r * mu_d + c1) / (mu_r * mu_r + mu_d * mu_d + c1)
-        cs = (2.0 * cov + c2) / (var_r + var_d + c2)
+        lum = (2.0 * mu_r * mu_d + _C1) / (mu_r * mu_r + mu_d * mu_d + _C1)
+        cs = (2.0 * cov + _C2) / (var_r + var_d + _C2)
         return lum, cs
-    return from_scratch(scratch, ("lcs", params), compute)
+    return from_scratch(scratch, "lcs", compute)
 
 
-def ssim_map(ref, dist, params: MetricParams = DEFAULT_PARAMS,
-             scratch: dict | None = None) -> np.ndarray:
+def ssim_map(ref, dist, scratch: dict | None = None) -> np.ndarray:
     """Local SSIM quality map (valid region of the 11x11 Gaussian window)."""
     ref, dist = _check_pair(ref, dist)
-    w = params.ssim_window
-    if ref.shape[0] < w or ref.shape[1] < w:
-        raise InputTooSmall(f"input {ref.shape} smaller than {w}x{w} window")
-    lum, cs = _lcs_maps(ref, dist, params, scratch)
-    a, b, _ = params.ssim_exponents
-    if (a, b) == (1.0, 1.0):
-        return lum * cs
-    return np.sign(lum) * np.abs(lum) ** a * np.sign(cs) * np.abs(cs) ** b
+    if ref.shape[0] < _WIN or ref.shape[1] < _WIN:
+        raise InputTooSmall(f"input {ref.shape} smaller than {_WIN}x{_WIN} window")
+    lum, cs = _lcs_maps(ref, dist, scratch)
+    return lum * cs
 
 
-def ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS,
-         scratch: dict | None = None) -> MetricScore:
-    return MetricScore("ssim", ScoreMode.REAL, float(ssim_map(ref, dist, params, scratch).mean()))
+def ssim(ref, dist, scratch: dict | None = None) -> float:
+    return float(ssim_map(ref, dist, scratch).mean())
 
 
 def _downsample2(img: np.ndarray) -> np.ndarray:
@@ -81,25 +83,27 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
     return 0.25 * (img[0::2, 0::2] + img[1::2, 0::2] + img[0::2, 1::2] + img[1::2, 1::2])
 
 
-def ms_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS,
-            scratch: dict | None = None) -> MetricScore:
+def _check_scales(shape, scales: int) -> None:
+    if min(shape) < _WIN * 2 ** (scales - 1):
+        raise InputTooSmall(
+            f"input {shape} too small for {scales} scales of a {_WIN}x{_WIN} window"
+        )
+
+
+def ms_ssim(ref, dist, scratch: dict | None = None) -> float:
     """Multi-scale SSIM: contrast/structure at every scale, full SSIM at the
     coarsest, combined with the standard exponent weights.
 
-    At scales=1 with weight (1,) this reduces exactly to plain SSIM (the
+    With the single weight (1,) this reduces exactly to plain SSIM (the
     luminance comparison then lives at the only scale).
     """
     ref, dist = _check_pair(ref, dist)
-    scales = params.msssim_scales
-    weights = params.msssim_weights[:scales]
-    w = params.ssim_window
-    if min(ref.shape) < w * 2 ** (scales - 1):
-        raise InputTooSmall(
-            f"input {ref.shape} too small for {scales} scales of a {w}x{w} window"
-        )
+    weights = _MSSSIM_WEIGHTS
+    scales = len(weights)
+    _check_scales(ref.shape, scales)
     score = 1.0
     for j in range(scales):
-        lum, cs = _lcs_maps(ref, dist, params, scratch if j == 0 else None)
+        lum, cs = _lcs_maps(ref, dist, scratch if j == 0 else None)
         if j == scales - 1:
             factor = float((lum * cs).mean())
         else:
@@ -107,7 +111,7 @@ def ms_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS,
             ref = _downsample2(ref)
             dist = _downsample2(dist)
         score *= max(factor, 0.0) ** weights[j]
-    return MetricScore("msssim", ScoreMode.REAL, score)
+    return score
 
 
 # information-content weighting -------------------------------------------
@@ -140,26 +144,21 @@ def _upsample2(img: np.ndarray, shape) -> np.ndarray:
     return fftconvolve(up, k[:, None] * k[None, :], mode="same")
 
 
-def iw_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS,
-            scratch: dict | None = None) -> MetricScore:
+def iw_ssim(ref, dist, scratch: dict | None = None) -> float:
     """Information-content-weighted multi-scale SSIM over a Laplacian-style
     pyramid. Per-scale contrast/structure maps are pooled with information
     weights derived from the detail bands; the coarsest scale contributes a
     full (weighted) SSIM term."""
     ref, dist = _check_pair(ref, dist)
-    scales = params.iwssim_scales
-    weights = params.msssim_weights[:scales]
-    w = params.ssim_window
-    if min(ref.shape) < w * 2 ** (scales - 1):
-        raise InputTooSmall(
-            f"input {ref.shape} too small for {scales} scales of a {w}x{w} window"
-        )
-    margin = (w - 1) // 2
+    weights = _MSSSIM_WEIGHTS
+    scales = len(weights)
+    _check_scales(ref.shape, scales)
+    margin = (_WIN - 1) // 2
     iw_margin = (_IW_WIN - 1) // 2
 
     score = 1.0
     for j in range(scales):
-        lum, cs = _lcs_maps(ref, dist, params, scratch if j == 0 else None)
+        lum, cs = _lcs_maps(ref, dist, scratch if j == 0 else None)
         qmap = lum * cs if j == scales - 1 else cs
         if j == scales - 1:
             band_r, band_d = ref, dist
@@ -175,17 +174,17 @@ def iw_ssim(ref, dist, params: MetricParams = DEFAULT_PARAMS,
         wsum = wmap.sum()
         factor = float((wmap * qmap).sum() / wsum) if wsum > 0 else float(qmap.mean())
         score *= max(factor, 0.0) ** weights[j]
-    return MetricScore("iwssim", ScoreMode.REAL, score)
+    return score
 
 
-def uqi(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def uqi(ref, dist) -> float:
     """Universal Quality Index: unregularized SSIM on sliding 8x8 blocks.
 
     Blocks with a zero denominator contribute the limit value 1 when both
     blocks are the same constant, and are skipped otherwise.
     """
     ref, dist = _check_pair(ref, dist)
-    b = params.uqi_block
+    b = _UQI_BLOCK
     if ref.shape[0] < b or ref.shape[1] < b:
         raise InputTooSmall(f"input {ref.shape} smaller than {b}x{b} block")
     win = np.full((b, b), 1.0 / (b * b))
@@ -201,4 +200,4 @@ def uqi(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
     keep = defined | identical_const
     if not np.any(keep):
         raise DegenerateReference("no UQI block has a defined score")
-    return MetricScore("uqi", ScoreMode.REAL, float(values[keep].mean()))
+    return float(values[keep].mean())

@@ -12,20 +12,20 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from ..errors import DegenerateReference
-from .params import DEFAULT_PARAMS, MetricParams, MetricScore, ScoreMode
 from .ssim import _check_pair, _local_stats, gaussian_window
 
 _SIGMA_NSQ = 2.0
 _VAR_EPS = 1e-10
+_SCALES = 4
 
 
-def vifp(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
+def vifp(ref, dist) -> float:
     ref, dist = _check_pair(ref, dist)
     num = 0.0
     den = 0.0
     tiny = np.finfo(np.float64).tiny
-    for scale in range(1, params.vifp_scales + 1):
-        n = 2 ** (params.vifp_scales - scale + 1) + 1
+    for scale in range(1, _SCALES + 1):
+        n = 2 ** (_SCALES - scale + 1) + 1
         win = gaussian_window(n, n / 5.0)
         if scale > 1:
             ref = fftconvolve(ref, win, mode="valid")[::2, ::2]
@@ -46,4 +46,4 @@ def vifp(ref, dist, params: MetricParams = DEFAULT_PARAMS) -> MetricScore:
         den += float(np.sum(np.log10(1.0 + var_r / _SIGMA_NSQ)))
     if den == 0.0:
         raise DegenerateReference("reference has no information content for VIFp")
-    return MetricScore("vifp", ScoreMode.REAL, num / den)
+    return num / den

@@ -126,20 +126,22 @@ def srocc(x, y) -> float:
 
 
 def krcc(x, y) -> float:
-    """Kendall's tau-b (tie-corrected) by explicit pair counting."""
+    """Kendall's tau-b (tie-corrected) by explicit pair counting, one row of
+    pairs (i, j > i) at a time so memory stays O(n)."""
     x, y = _as_vectors(x, y)
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateRanks("constant vector; rank correlation undefined")
-    # comparison-based signs stay defined for +/-inf sentinel scores
-    dx = (x[:, None] > x[None, :]).astype(np.int64) - (x[:, None] < x[None, :])
-    dy = (y[:, None] > y[None, :]).astype(np.int64) - (y[:, None] < y[None, :])
-    iu = np.triu_indices(x.size, k=1)
-    prod = dx[iu] * dy[iu]
-    concordant = np.sum(prod > 0)
-    discordant = np.sum(prod < 0)
-    tied_x = np.sum(dx[iu] == 0)
-    tied_y = np.sum(dy[iu] == 0)
-    n_pairs = iu[0].size
+    concordant = discordant = tied_x = tied_y = 0
+    for i in range(x.size - 1):
+        # comparison-based signs stay defined for +/-inf sentinel scores
+        dx = (x[i] > x[i + 1:]).astype(np.int64) - (x[i] < x[i + 1:])
+        dy = (y[i] > y[i + 1:]).astype(np.int64) - (y[i] < y[i + 1:])
+        prod = dx * dy
+        concordant += int(np.count_nonzero(prod > 0))
+        discordant += int(np.count_nonzero(prod < 0))
+        tied_x += int(np.count_nonzero(dx == 0))
+        tied_y += int(np.count_nonzero(dy == 0))
+    n_pairs = x.size * (x.size - 1) // 2
     denom = np.sqrt(float(n_pairs - tied_x) * float(n_pairs - tied_y))
     if denom == 0.0:
         raise DegenerateRanks("all pairs tied; tau-b undefined")

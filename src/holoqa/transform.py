@@ -115,18 +115,6 @@ def downsample_grid(data: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft2(np.fft.ifftshift(cropped)) / (m * m)
 
 
-def upsample_field(f: WaveField, m: int) -> WaveField:
-    """Upsample a wavefield by integer factor m; pitch becomes pitch/m."""
-    m = _check_factor(m)
-    return WaveField(
-        upsample_grid(f.data, m),
-        f.pixel_pitch / m,
-        f.wavelength,
-        f.form,
-        f.focus_offset,
-    )
-
-
 def _grid_coordinates(rows: int, cols: int, pitch: float):
     y = (np.arange(rows) - rows // 2) * pitch
     x = (np.arange(cols) - cols // 2) * pitch

@@ -78,10 +78,10 @@ def test_criterion_03_metric_identity_suite():
     rng = np.random.default_rng(101)
     img = rng.integers(0, 256, (200, 200)).astype(np.float64)
     for mid in REAL_METRICS:
-        assert evaluate_real(mid, img, img.copy()).value == perfect_value(mid), mid
+        assert evaluate_real(mid, img, img.copy()) == perfect_value(mid), mid
     fld = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     for mid in COMPLEX_METRICS:
-        assert evaluate_complex(mid, fld, fld.copy()).value == perfect_value(mid), mid
+        assert evaluate_complex(mid, fld, fld.copy()) == perfect_value(mid), mid
     print("criterion 3 PASS: all 18 metrics perfect on identical inputs")
 
 

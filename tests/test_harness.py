@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -44,6 +45,10 @@ class TestTrackConfig:
     def test_unknown_metric_rejected(self):
         with pytest.raises(UnknownMetric):
             TrackConfig("qa1", metrics=("nope",)).resolved_metrics()
+
+    def test_duplicate_metric_rejected(self):
+        with pytest.raises(UnknownMetric):
+            TrackConfig("qa3", metrics=("mse", "mse", "psnr")).resolved_metrics()
 
     def test_complex_metric_rejected_on_view_tracks(self):
         with pytest.raises(UnknownMetric):
@@ -217,6 +222,37 @@ BAD_INPUTS = {
 }
 
 
+def _edit_meta(edit):
+    """Sidecar maker: ``edit`` applied to the parsed sidecar document."""
+    def make(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return make
+
+
+BAD_SIDECARS = {
+    "invalid-json": lambda text: text[:len(text) // 2],
+    "not-an-object": lambda text: "[1, 2]",
+    "no-rows": _edit_meta(lambda doc: doc.pop("rows")),
+    "no-wavelength": _edit_meta(lambda doc: doc.pop("wavelength")),
+    "no-affine-scale": _edit_meta(lambda doc: doc["real_affine"].pop("scale")),
+    "rows-not-int": _edit_meta(lambda doc: doc.update(rows="abc")),
+    "pitch-not-number": _edit_meta(lambda doc: doc.update(pixel_pitch=None)),
+    "pitch-nan": _edit_meta(lambda doc: doc.update(pixel_pitch=float("nan"))),
+    "affine-not-object": _edit_meta(lambda doc: doc.update(imag_affine=3)),
+}
+
+_PLAN = {"m": 2, "z": 0.1, "source_rows": 256, "source_cols": 256,
+         "target_rows": 512, "target_cols": 512, "target_pitch": 4e-6,
+         "wavelength": 6.4e-7}
+
+BAD_PLANS = {
+    "missing-key": {k: v for k, v in _PLAN.items() if k != "z"},
+    "extra-key": dict(_PLAN, shift=0.0),
+}
+
+
 class TestCli:
     def test_version(self):
         out = _cli("--version")
@@ -290,6 +326,49 @@ class TestCli:
         manifest, mos = make(demo_dataset, tmp_path)
         out = _cli("bench", "--manifest", manifest, "--mos", mos, "--track", "qa1",
                    "--metrics", "mse", "--out", str(tmp_path / "rep"))
+        assert out.returncode == 1
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ")
+
+    def test_duplicate_metric_exit_2(self, demo_dataset, tmp_path):
+        out = _cli("bench", "--manifest", demo_dataset["manifest"],
+                   "--mos", demo_dataset["mos"], "--track", "qa3",
+                   "--metrics", "mse,mse,psnr", "--out", str(tmp_path / "rep"))
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ") and "'mse'" in out.stderr
+        assert not os.path.exists(tmp_path / "rep")
+
+    @pytest.mark.parametrize("edit", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
+    def test_reconstruct_bad_sidecar_exit_1(self, demo_dataset, tmp_path, edit):
+        src = os.path.join(demo_dataset["root"], "fields", "dots_ref")
+        base = str(tmp_path / "dots_ref")
+        for ext in (".re.u8", ".im.u8"):
+            shutil.copy(src + ext, base + ext)
+        with open(src + ".meta.json", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(base + ".meta.json", "w", encoding="utf-8") as fh:
+            fh.write(edit(text))
+        out = _cli("reconstruct", "--in", base, "--out", str(tmp_path / "v.pgm"))
+        assert out.returncode == 1
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ")
+
+    def test_convert_inverse_without_plan_exit_2(self, demo_dataset, tmp_path):
+        base = os.path.join(demo_dataset["root"], "fields", "ring_ref")
+        out = _cli("convert", "--in", base, "--out", str(tmp_path / "back"),
+                   "--inverse")
+        assert out.returncode == 2
+        assert "--plan" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("plan", BAD_PLANS.values(), ids=BAD_PLANS.keys())
+    def test_convert_bad_plan_exit_1(self, demo_dataset, tmp_path, plan):
+        base = os.path.join(demo_dataset["root"], "fields", "ring_ref")
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan), encoding="utf-8")
+        out = _cli("convert", "--in", base, "--out", str(tmp_path / "back"),
+                   "--inverse", "--plan", str(path))
         assert out.returncode == 1
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("error: ")

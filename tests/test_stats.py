@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoqa.errors import DegenerateRanks, StimulusMismatch
 from holoqa.stats import (
@@ -71,6 +72,27 @@ def _brute_krcc(x, y):
     return (conc - disc) / np.sqrt((n0 - tx) * (n0 - ty))
 
 
+def _table_krcc(x, y):
+    """The former krcc body: n x n int64 sign tables, upper triangle summed."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    dx = (x[:, None] > x[None, :]).astype(np.int64) - (x[:, None] < x[None, :])
+    dy = (y[:, None] > y[None, :]).astype(np.int64) - (y[:, None] < y[None, :])
+    iu = np.triu_indices(x.size, k=1)
+    prod = dx[iu] * dy[iu]
+    concordant = np.sum(prod > 0)
+    discordant = np.sum(prod < 0)
+    tied_x = np.sum(dx[iu] == 0)
+    tied_y = np.sum(dy[iu] == 0)
+    n_pairs = iu[0].size
+    denom = np.sqrt(float(n_pairs - tied_x) * float(n_pairs - tied_y))
+    return float((concordant - discordant) / denom)
+
+
+# few distinct values, so ties are common, plus the +/-inf sentinels
+_SCORES = st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 3.0, np.inf]) | st.floats(-5.0, 5.0)
+
+
 class TestCorrelations:
     def test_pcc_perfect_line(self):
         x = np.arange(10.0)
@@ -103,6 +125,18 @@ class TestCorrelations:
             if np.all(x == x[0]) or np.all(y == y[0]):
                 continue
             assert krcc(x, y) == pytest.approx(_brute_krcc(x, y), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 40).flatmap(
+        lambda n: st.tuples(st.lists(_SCORES, min_size=n, max_size=n),
+                            st.lists(_SCORES, min_size=n, max_size=n))))
+    def test_krcc_equals_pair_table_formula(self, xy):
+        x, y = xy
+        if x.count(x[0]) == len(x) or y.count(y[0]) == len(y):
+            with pytest.raises(DegenerateRanks):
+                krcc(x, y)
+            return
+        assert krcc(x, y) == _table_krcc(x, y)
 
     def test_rank_statistics_monotone_invariant(self):
         rng = np.random.default_rng(2)

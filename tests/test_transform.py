@@ -23,7 +23,6 @@ from holoqa.transform import (
     refocus_kernel,
     store_gray_pgm,
     store_view,
-    upsample_field,
     upsample_grid,
 )
 
@@ -66,12 +65,6 @@ class TestUpsampling:
         data = rng.normal(size=(18, 20)) + 1j * rng.normal(size=(18, 20))
         back = downsample_grid(upsample_grid(data, m), m)
         assert np.allclose(back, data, atol=1e-12)
-
-    def test_pitch_scales(self):
-        f = _random_field(np.random.default_rng(2))
-        up = upsample_field(f, 2)
-        assert up.pixel_pitch == f.pixel_pitch / 2
-        assert up.rows == 2 * f.rows
 
 
 class TestConversion:
