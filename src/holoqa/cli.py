@@ -5,7 +5,7 @@ Subcommands: synth (demo dataset), convert (Fourier <-> Fresnel), reconstruct
 score (single-pair metric run) and bench (full track evaluation against MOS).
 
 Exit codes: 0 success, 1 runtime failure (bad data, degenerate inputs),
-2 usage error (unknown subcommand, flag or metric id).
+2 usage error (unknown subcommand or flag; unknown, repeated or no metric id).
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ from .transform import (
 
 
 def _parse_metrics(value: str) -> tuple:
-    return check_metric_ids(m.strip() for m in value.split(",") if m.strip())
+    ids = check_metric_ids(m.strip() for m in value.split(",") if m.strip())
+    if not ids:
+        raise UnknownMetric(f"no metric id in --metrics {value!r}")
+    return ids
 
 
 def _load_any_field(base: str):
@@ -163,7 +166,7 @@ def _cmd_bench(args) -> int:
     mos = read_mos_csv(args.mos)
     config = TrackConfig(
         args.track,
-        _parse_metrics(args.metrics) if args.metrics else (),
+        _parse_metrics(args.metrics) if args.metrics is not None else (),
         args.upsample_m,
         args.clip_percentile,
         _wiener_from_args(args),

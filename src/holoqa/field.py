@@ -252,18 +252,21 @@ _META_TYPES = {"rows": int, "cols": int, "dtype": str,
 _AFFINE_TYPES = {"offset": _NUMBER, "scale": _NUMBER}
 
 
+def _of_type(value, kind) -> bool:
+    """Whether ``value`` has JSON type ``kind`` (a bool is no number; a
+    number is finite)."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (kind is not _NUMBER or math.isfinite(value)))
+
+
 def _check_keys(path: str, doc: dict, types: dict, where: str = "sidecar") -> None:
     """Raise CorruptInput unless ``doc`` holds every key of ``types`` with a
-    value of that JSON type (a bool is no number; a number is finite)."""
+    value of that JSON type (see ``_of_type``)."""
     for key, kind in types.items():
         if key not in doc:
             raise CorruptInput(f"{path}: {where} lacks key {key!r}")
-        value = doc[key]
-        ok = isinstance(value, kind) and not isinstance(value, bool)
-        if ok and kind is _NUMBER:
-            ok = math.isfinite(value)
-        if not ok:
-            raise CorruptInput(f"{path}: {where} key {key!r} holds {value!r}")
+        if not _of_type(doc[key], kind):
+            raise CorruptInput(f"{path}: {where} key {key!r} holds {doc[key]!r}")
 
 
 def _read_meta(base: str) -> dict:

@@ -32,8 +32,11 @@ import numpy as np
 from .denoise import WienerParams, resolve_params, wiener_denoise
 from .errors import CorruptInput, DegenerateRanks, NoOverlap, UnknownMetric
 from .field import (
+    _NUMBER,
     ApertureSpec,
     QuantizedField,
+    _check_keys,
+    _of_type,
     dequantize_components,
     extract_aperture_quantized,
     load_quantized,
@@ -93,40 +96,62 @@ class DatasetManifest:
         return load_quantized(os.path.join(self.root, entry.distorted[tag]))
 
 
-_STIMULUS_KEYS = ("id", "reference", "distorted", "aperture_size", "focal_offsets")
+# required stimulus keys and their JSON types
+_STIMULUS_TYPES = {"id": str, "reference": str, "distorted": dict,
+                   "aperture_size": list, "focal_offsets": list}
+_VIEWS = ("center", "corner")
+
+
+def _check_list(path: str, where: str, value, ok, size: int = 0) -> list:
+    """``value``; raises CorruptInput unless it is a non-empty list (of
+    ``size`` entries when given) whose entries all pass ``ok``."""
+    if not (isinstance(value, list) and value and len(value) == (size or len(value))
+            and all(ok(v) for v in value)):
+        raise CorruptInput(f"{path}: {where} holds {value!r}")
+    return value
+
+
+def _is_number(v) -> bool:
+    return _of_type(v, _NUMBER)
 
 
 def load_manifest(path: str) -> DatasetManifest:
-    """Read a dataset manifest; raises CorruptInput on invalid JSON or on a
-    missing ``stimuli`` list or stimulus key."""
+    """Read a dataset manifest; raises CorruptInput on invalid JSON, on a
+    missing or mistyped key, and unless ``rating_scale`` is two finite numbers
+    lo < hi, ``aperture_size`` two positive ints, ``focal_offsets`` a
+    non-empty list of finite numbers and ``views`` a list of known views."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
             raise CorruptInput(f"{path}: invalid manifest JSON: {exc}") from None
-    if "stimuli" not in doc:
-        raise CorruptInput(f"{path}: manifest lacks key 'stimuli'")
+    if not isinstance(doc, dict):
+        raise CorruptInput(f"{path}: manifest is not a JSON object")
+    _check_keys(path, doc, {"stimuli": list}, "manifest")
+    stimuli = []
     for i, s in enumerate(doc["stimuli"]):
-        missing = [k for k in _STIMULUS_KEYS if k not in s]
-        if missing:
-            raise CorruptInput(f"{path}: stimulus {s.get('id', f'#{i}')!r} "
-                               f"lacks key {missing[0]!r}")
-    stimuli = tuple(
-        StimulusEntry(
+        if not isinstance(s, dict):
+            raise CorruptInput(f"{path}: stimulus #{i} is not a JSON object")
+        where = f"stimulus {s.get('id', f'#{i}')!r}"
+        _check_keys(path, s, _STIMULUS_TYPES, where)
+        _check_keys(path, s["distorted"], dict.fromkeys(s["distorted"], str),
+                    f"{where} distorted")
+        stimuli.append(StimulusEntry(
             s["id"],
             s["reference"],
             dict(s["distorted"]),
-            tuple(int(v) for v in s["aperture_size"]),
-            tuple(float(v) for v in s["focal_offsets"]),
-        )
-        for s in doc["stimuli"]
-    )
-    return DatasetManifest(
-        os.path.dirname(os.path.abspath(path)),
-        tuple(float(v) for v in doc.get("rating_scale", (1.0, 5.0))),
-        tuple(doc.get("views", ("center",))),
-        stimuli,
-    )
+            tuple(_check_list(path, f"{where} aperture_size", s["aperture_size"],
+                              lambda v: _of_type(v, int) and v > 0, 2)),
+            tuple(float(v) for v in _check_list(
+                path, f"{where} focal_offsets", s["focal_offsets"], _is_number)),
+        ))
+    lo, hi = _check_list(path, "rating_scale", doc.get("rating_scale", [1.0, 5.0]),
+                         _is_number, 2)
+    if not lo < hi:
+        raise CorruptInput(f"{path}: rating_scale [{lo}, {hi}] is not increasing")
+    views = _check_list(path, "views", doc.get("views", ["center"]), _VIEWS.__contains__)
+    return DatasetManifest(os.path.dirname(os.path.abspath(path)),
+                           (float(lo), float(hi)), tuple(views), tuple(stimuli))
 
 
 @dataclass(frozen=True)
@@ -152,8 +177,6 @@ class TrackConfig:
                     f"{mid!r} consumes complex fields and is not defined on "
                     f"amplitude views (track {self.track})"
                 )
-        if not ids:
-            raise UnknownMetric("empty metric list")
         return ids
 
 
@@ -280,8 +303,14 @@ def _matched_mos(by_key, stimulus_id, display, view, focal_index):
 
 def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> EvalReport:
     """Score every stimulus pair of the manifest, match MOS per display and
-    evaluate every metric on all six criteria."""
+    evaluate every metric on all six criteria. Raises CorruptInput on a MOS
+    value outside the manifest's rating scale."""
     metric_ids = config.resolved_metrics()
+    lo, hi = manifest.rating_scale
+    for r in mos_records:
+        if not lo <= r.mos <= hi:
+            raise CorruptInput(f"MOS {r.mos!r} of {r.stimulus_id}/{r.display.value} "
+                               f"lies outside the rating scale [{lo!r}, {hi!r}]")
     scorer = _field_pair_scores if config.track in ("qa1", "qa2") else _view_pair_scores
 
     raw = []          # ScoreRecord list, manifest order

@@ -193,9 +193,8 @@ def _logistic_jacobian(beta, x):
 def fit_logistic4(scores, mos) -> LogisticFit:
     """Least-squares 4-parameter logistic fit of MOS against metric scores.
 
-    Tries the standard initialization, its direction-flipped twin (for
-    anti-correlated metrics) and an affine-seeded start (for near-linear
-    relationships), keeping the lowest-residual solution.
+    Tries the standard initialization and its direction-flipped twin (for
+    anti-correlated metrics), keeping the lowest-residual solution.
     """
     x = np.asarray(scores, dtype=np.float64)
     y = np.asarray(mos, dtype=np.float64)
@@ -207,25 +206,9 @@ def fit_logistic4(scores, mos) -> LogisticFit:
     b3 = float(np.median(x))
     b4 = float(np.std(x) / 4.0) or 1.0
     lo, hi = float(np.min(y)), float(np.max(y))
-    starts = [
-        np.array([lo, hi, b3, b4]),
-        np.array([hi, lo, b3, b4]),
-    ]
-    # affine seed: wide logistic matching the least-squares line
-    span = float(np.ptp(x)) or 1.0
-    slope, intercept = np.polyfit(x, y, 1)
-    wide = 1000.0 * span
-    mid = float(np.mean(x))
-    starts.append(np.array([
-        intercept + slope * mid - 2.0 * slope * wide,
-        intercept + slope * mid + 2.0 * slope * wide,
-        mid,
-        wide,
-    ]))
-
     fits = [least_squares(lambda b: _logistic(b, x) - y, beta0,
                           jac=lambda b: _logistic_jacobian(b, x), method="lm")
-            for beta0 in starts]
+            for beta0 in ([lo, hi, b3, b4], [hi, lo, b3, b4])]
     best = min(fits, key=lambda res: np.linalg.norm(res.fun))
     b1, b2, b3, b4 = (float(v) for v in best.x)
     return LogisticFit(b1, b2, b3, b4, bool(best.status > 0),

@@ -1,4 +1,4 @@
-"""Synthetic hologram generation and distortion, plus the desk-scale demo
+"""Synthetic hologram generation and requantization, plus the desk-scale demo
 dataset generator used by the bench harness and the CLI `synth` subcommand.
 """
 
@@ -9,7 +9,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import InvalidField, ZeroScene
 from .field import (
@@ -56,8 +55,6 @@ def synth_hologram(points, rows: int, cols: int, pitch: float,
 
     data = np.zeros((rows, cols), dtype=np.complex128)
     for p in points:
-        if not isinstance(p, ScenePoint):
-            p = ScenePoint(**p)
         phase = 2.0 * np.pi * (yy * p.y + xx * p.x) / (wavelength * z_nom)
         contrib = p.amplitude * np.exp(1j * phase)
         if p.z != 0.0:
@@ -77,34 +74,16 @@ def view_bin_spacing(field: WaveField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# synthetic distortions (stand-ins for the codecs)
+# synthetic distortion (a stand-in for the codecs)
 
-def _distort_plane(plane: np.ndarray, kind: str, param: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    codes = plane.astype(np.float64)
-    if kind == "requantize":
-        bits = int(param)
-        if not 1 <= bits <= 8:
-            raise InvalidField(f"requantize bits must be in 1..8, got {bits}")
-        levels = (1 << bits) - 1
-        coarse = np.round(codes / 255.0 * levels)
-        out = np.round(coarse / levels * 255.0)
-    elif kind == "noise":
-        out = np.round(codes + rng.normal(0.0, param, codes.shape))
-    elif kind == "blur":
-        out = np.round(gaussian_filter(codes, sigma=param, mode="reflect"))
-    else:
-        raise InvalidField(f"unknown distortion kind {kind!r}")
-    return np.clip(out, 0, 255).astype(np.uint8)
-
-
-def synth_distort(q: QuantizedField, kind: str, param: float,
-                  seed: int = 0) -> QuantizedField:
-    """Apply a synthetic distortion to both 8-bit planes, identically
-    parameterized; deterministic under a fixed seed."""
-    rng = np.random.default_rng(seed)
-    re = _distort_plane(q.real_plane, kind, param, rng)
-    im = _distort_plane(q.imag_plane, kind, param, rng)
+def synth_distort(q: QuantizedField, bits: int) -> QuantizedField:
+    """Requantize both 8-bit planes to ``bits`` bits (1..8) and back to the
+    0..255 code range; the affines are kept."""
+    if not 1 <= bits <= 8:
+        raise InvalidField(f"requantize bits must be in 1..8, got {bits}")
+    levels = (1 << bits) - 1
+    re, im = (np.round(np.round(plane / 255.0 * levels) / levels * 255.0).astype(np.uint8)
+              for plane in (q.real_plane, q.imag_plane))
     return QuantizedField(re, im, q.real_affine, q.imag_affine,
                           q.pixel_pitch, q.wavelength, q.form, q.focus_offset)
 
@@ -165,7 +144,6 @@ def generate_demo_dataset(out_dir: str, size: int = 256, aperture: int = 192,
     the distortion severity. Returns the manifest path."""
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
-    rng = np.random.default_rng(seed)
 
     probe = WaveField(np.ones((size, size), dtype=np.complex128), pitch,
                       wavelength, HologramForm.FOURIER)
@@ -188,7 +166,7 @@ def generate_demo_dataset(out_dir: str, size: int = 256, aperture: int = 192,
         distorted = {}
         for bits in bits_levels:
             tag = f"requant{bits}"
-            dist_q = synth_distort(ref_q, "requantize", bits, seed=seed + bits)
+            dist_q = synth_distort(ref_q, bits)
             base = os.path.join(fields_dir, f"{scene}_{tag}")
             store_quantized(dist_q, base)
             distorted[tag] = os.path.relpath(base, out_dir)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from holoqa.errors import (
     ApertureOutOfBounds,
@@ -64,6 +66,22 @@ class TestQuantization:
         err_im = np.abs(back.data.imag - f.data.imag).max()
         assert err_re <= q.real_affine.scale / 2 + 1e-15
         assert err_im <= q.imag_affine.scale / 2 + 1e-15
+
+    # components are 0 or >= 1e-200 in magnitude: a nonzero span below
+    # 255 * 5e-324 gives a zero scale, which AffineRecord rejects
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.complex128, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                  elements=st.complex_numbers(max_magnitude=1e6, allow_subnormal=False)
+                  .filter(lambda z: all(v == 0.0 or abs(v) >= 1e-200
+                                        for v in (z.real, z.imag)))))
+    def test_round_trip_error_bound_property(self, data):
+        f = WaveField(data, 8e-6, 640e-9, HologramForm.FOURIER)
+        q = quantize_components(f)
+        back = dequantize_components(q).data
+        for got, want, aff in ((back.real, data.real, q.real_affine),
+                               (back.imag, data.imag, q.imag_affine)):
+            slack = 4.0 * np.spacing(np.abs(want).max())   # float rounding
+            assert np.abs(got - want).max() <= aff.scale / 2 + slack
 
     def test_codes_span_full_range(self):
         rng = np.random.default_rng(2)

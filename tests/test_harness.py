@@ -1,7 +1,10 @@
 """Tests for the benchmark harness and the command line interface."""
 
+import contextlib
 import csv
+import io
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -10,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from holoqa.cli import main
 from holoqa.errors import NoOverlap, UnknownMetric
 from holoqa.harness import (
     TrackConfig,
@@ -167,9 +171,39 @@ class TestEmitReport:
         assert not os.path.exists(out)
 
 
-def _cli(*args):
+def _run_module(*args):
+    """``python -m holoqa.cli`` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "holoqa.cli", *args],
                           capture_output=True, text=True)
+
+
+def _cli(*args):
+    """``holoqa.cli.main`` in this process, with stdout, stderr and the
+    exit code (argparse's ``SystemExit`` included) captured as
+    ``_run_module`` reports them; warnings go to the captured stderr as
+    they would in a fresh interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    logging.getLogger().addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(args))
+            except SystemExit as exc:
+                code = exc.code or 0
+    finally:
+        logging.getLogger().removeHandler(handler)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def _edit_json(edit):
+    """Text maker: ``edit`` applied to the parsed JSON document."""
+    def make(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return make
 
 
 def _bad_mos(edit):
@@ -187,12 +221,17 @@ def _bad_mos(edit):
 
 
 def _bad_manifest(edit):
-    """Case maker: the demo manifest text passed through ``edit``."""
+    """Case maker: the demo manifest, its field paths made absolute so it
+    stays valid in another directory, with its text passed through ``edit``."""
     def make(demo, tmp_path):
         with open(demo["manifest"], encoding="utf-8") as fh:
-            text = fh.read()
+            doc = json.load(fh)
+        for s in doc["stimuli"]:
+            s["reference"] = os.path.join(demo["root"], s["reference"])
+            s["distorted"] = {tag: os.path.join(demo["root"], base)
+                              for tag, base in s["distorted"].items()}
         path = tmp_path / "manifest.json"
-        path.write_text(edit(text), encoding="utf-8")
+        path.write_text(edit(json.dumps(doc)), encoding="utf-8")
         return str(path), demo["mos"]
     return make
 
@@ -203,10 +242,8 @@ def _set_first_row(column, value):
     return edit
 
 
-def _drop_reference(text):
-    doc = json.loads(text)
-    del doc["stimuli"][0]["reference"]
-    return json.dumps(doc)
+def _set_stimulus(key, value):
+    return _edit_json(lambda doc: doc["stimuli"][0].update({key: value}))
 
 
 BAD_INPUTS = {
@@ -217,30 +254,36 @@ BAD_INPUTS = {
     "mos-negative-std": _bad_mos(_set_first_row("std", "-1")),
     "mos-zero-n": _bad_mos(_set_first_row("n", "0")),
     "mos-duplicate-key": _bad_mos(lambda rows: rows.append(list(rows[1]))),
-    "manifest-no-reference": _bad_manifest(_drop_reference),
+    "mos-outside-scale": _bad_mos(_set_first_row("mos", "9.0")),
+    "manifest-no-reference": _bad_manifest(
+        _edit_json(lambda doc: doc["stimuli"][0].pop("reference"))),
     "manifest-invalid-json": _bad_manifest(lambda text: text[:len(text) // 2]),
+    "manifest-stimuli-number": _bad_manifest(_edit_json(
+        lambda doc: doc.update(stimuli=3))),
+    "manifest-stimulus-number": _bad_manifest(_edit_json(
+        lambda doc: doc["stimuli"].append(3))),
+    "manifest-scale-text": _bad_manifest(_edit_json(
+        lambda doc: doc.update(rating_scale="abc"))),
+    "manifest-scale-reversed": _bad_manifest(_edit_json(
+        lambda doc: doc.update(rating_scale=[5, 1]))),
+    "manifest-unknown-view": _bad_manifest(_edit_json(
+        lambda doc: doc.update(views=["center", "left"]))),
+    "manifest-aperture-text": _bad_manifest(_set_stimulus("aperture_size", ["a", 2])),
+    "manifest-focal-text": _bad_manifest(_set_stimulus("focal_offsets", ["x"])),
+    "manifest-focal-empty": _bad_manifest(_set_stimulus("focal_offsets", [])),
 }
-
-
-def _edit_meta(edit):
-    """Sidecar maker: ``edit`` applied to the parsed sidecar document."""
-    def make(text):
-        doc = json.loads(text)
-        edit(doc)
-        return json.dumps(doc)
-    return make
 
 
 BAD_SIDECARS = {
     "invalid-json": lambda text: text[:len(text) // 2],
     "not-an-object": lambda text: "[1, 2]",
-    "no-rows": _edit_meta(lambda doc: doc.pop("rows")),
-    "no-wavelength": _edit_meta(lambda doc: doc.pop("wavelength")),
-    "no-affine-scale": _edit_meta(lambda doc: doc["real_affine"].pop("scale")),
-    "rows-not-int": _edit_meta(lambda doc: doc.update(rows="abc")),
-    "pitch-not-number": _edit_meta(lambda doc: doc.update(pixel_pitch=None)),
-    "pitch-nan": _edit_meta(lambda doc: doc.update(pixel_pitch=float("nan"))),
-    "affine-not-object": _edit_meta(lambda doc: doc.update(imag_affine=3)),
+    "no-rows": _edit_json(lambda doc: doc.pop("rows")),
+    "no-wavelength": _edit_json(lambda doc: doc.pop("wavelength")),
+    "no-affine-scale": _edit_json(lambda doc: doc["real_affine"].pop("scale")),
+    "rows-not-int": _edit_json(lambda doc: doc.update(rows="abc")),
+    "pitch-not-number": _edit_json(lambda doc: doc.update(pixel_pitch=None)),
+    "pitch-nan": _edit_json(lambda doc: doc.update(pixel_pitch=float("nan"))),
+    "affine-not-object": _edit_json(lambda doc: doc.update(imag_affine=3)),
 }
 
 _PLAN = {"m": 2, "z": 0.1, "source_rows": 256, "source_cols": 256,
@@ -254,24 +297,44 @@ BAD_PLANS = {
 
 
 class TestCli:
+    # one fresh-interpreter run per exit code (0, 2, 1); the rest run in-process
+
     def test_version(self):
-        out = _cli("--version")
+        out = _run_module("--version")
         assert out.returncode == 0
         assert "holoqa" in out.stdout
 
     def test_unknown_metric_exit_2_lists_registry(self, demo_dataset):
-        out = _cli("bench", "--manifest", demo_dataset["manifest"],
-                   "--mos", demo_dataset["mos"], "--track", "qa1",
-                   "--metrics", "bogus", "--out", "/tmp/never")
+        out = _run_module("bench", "--manifest", demo_dataset["manifest"],
+                          "--mos", demo_dataset["mos"], "--track", "qa1",
+                          "--metrics", "bogus", "--out", "/tmp/never")
         assert out.returncode == 2
         assert "bogus" in out.stderr
         assert "ssim" in out.stderr and "vifp" in out.stderr
 
     def test_missing_file_exit_1(self):
-        out = _cli("bench", "--manifest", "/nonexistent/m.json",
-                   "--mos", "/nonexistent/mos.csv", "--track", "qa1",
-                   "--out", "/tmp/never")
+        out = _run_module("bench", "--manifest", "/nonexistent/m.json",
+                          "--mos", "/nonexistent/mos.csv", "--track", "qa1",
+                          "--out", "/tmp/never")
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("command,value", [
+        ("bench", ","), ("bench", " , "), ("bench", ""), ("score", ","), ("score", ""),
+    ], ids=["bench-comma", "bench-blank", "bench-empty", "score-comma", "score-empty"])
+    def test_empty_metrics_exit_2(self, demo_dataset, tmp_path, command, value):
+        rep = tmp_path / "rep"
+        if command == "bench":
+            args = ("--manifest", demo_dataset["manifest"], "--mos", demo_dataset["mos"],
+                    "--track", "qa3", "--out", str(rep))
+        else:
+            base = os.path.join(demo_dataset["root"], "fields", "dots_ref")
+            args = ("--ref", base, "--dist", base)
+        out = _cli(command, *args, "--metrics", value)
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ")
+        assert out.stdout == ""
+        assert not rep.exists()
 
     def test_score_pair_of_views(self, demo_dataset, tmp_path):
         root = demo_dataset["root"]
@@ -320,6 +383,14 @@ class TestCli:
         assert out.returncode == 1
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("error: ")
+
+    def test_bench_relocated_manifest_exit_0(self, demo_dataset, tmp_path):
+        # the unedited case maker output is valid: each bad input fails on its edit
+        manifest, mos = _bad_manifest(lambda text: text)(demo_dataset, tmp_path)
+        out = _cli("bench", "--manifest", manifest, "--mos", mos, "--track", "qa1",
+                   "--metrics", "mse", "--out", str(tmp_path / "rep"))
+        assert out.returncode == 0
+        assert out.stderr == ""
 
     @pytest.mark.parametrize("make", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bench_malformed_input_exit_1(self, demo_dataset, tmp_path, make):

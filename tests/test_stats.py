@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from holoqa.errors import DegenerateRanks, StimulusMismatch
 from holoqa.stats import (
@@ -28,6 +28,9 @@ from holoqa.stats import (
     srocc,
     write_mos_csv,
 )
+
+# strictly increasing on the integers, exact in float64 for |x| <= 50
+_INCREASING = (lambda v: v, lambda v: 3.0 * v + 1.0, lambda v: v ** 3)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -145,6 +148,22 @@ class TestCorrelations:
         fx = np.exp(2.0 * x) + 1.0     # strictly increasing transform
         assert srocc(fx, y) == pytest.approx(srocc(x, y), abs=1e-12)
         assert krcc(fx, y) == pytest.approx(krcc(x, y), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 30).flatmap(
+        lambda n: st.tuples(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                            st.lists(st.integers(-50, 50), min_size=n, max_size=n))),
+           st.sampled_from(_INCREASING), st.sampled_from(_INCREASING),
+           st.booleans())
+    def test_rank_statistics_under_strictly_monotone_maps(self, xy, f, g, flip):
+        # integer samples: the maps are exact, so no two values merge
+        x, y = (np.array(v, dtype=np.float64) for v in xy)
+        assume(np.any(x != x[0]) and np.any(y != y[0]))
+        sign = -1.0 if flip else 1.0
+        fx = sign * f(x)       # decreasing map when flipped
+        for stat in (srocc, krcc):
+            assert stat(fx, g(y)) == sign * stat(x, y)
+            assert stat(g(y), fx) == sign * stat(y, x)
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateRanks):

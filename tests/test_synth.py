@@ -1,4 +1,4 @@
-"""Tests for point-cloud hologram synthesis and synthetic distortions."""
+"""Tests for point-cloud hologram synthesis and synthetic requantization."""
 
 import json
 import os
@@ -68,7 +68,7 @@ class TestDistortions:
     def test_requantize_level_count(self):
         q = self._quantized()
         for bits in (7, 6, 5, 4):
-            d = synth_distort(q, "requantize", bits)
+            d = synth_distort(q, bits)
             assert len(np.unique(d.real_plane)) <= 2 ** bits
             assert d.real_affine == q.real_affine
 
@@ -76,36 +76,22 @@ class TestDistortions:
         q = self._quantized()
         errs = []
         for bits in (7, 6, 5, 4):
-            d = synth_distort(q, "requantize", bits)
+            d = synth_distort(q, bits)
             errs.append(np.mean((d.real_plane.astype(float)
                                  - q.real_plane.astype(float)) ** 2))
         assert errs == sorted(errs)
 
     def test_eight_bits_is_identity(self):
         q = self._quantized()
-        d = synth_distort(q, "requantize", 8)
+        d = synth_distort(q, 8)
         assert np.array_equal(d.real_plane, q.real_plane)
         assert np.array_equal(d.imag_plane, q.imag_plane)
 
-    def test_noise_deterministic_under_seed(self):
+    def test_invalid_bits(self):
         q = self._quantized()
-        a = synth_distort(q, "noise", 5.0, seed=9)
-        b = synth_distort(q, "noise", 5.0, seed=9)
-        c = synth_distort(q, "noise", 5.0, seed=10)
-        assert np.array_equal(a.real_plane, b.real_plane)
-        assert not np.array_equal(a.real_plane, c.real_plane)
-
-    def test_blur_smooths(self):
-        q = self._quantized()
-        d = synth_distort(q, "blur", 2.0)
-        assert d.real_plane.astype(float).var() < q.real_plane.astype(float).var()
-
-    def test_invalid_kind_and_bits(self):
-        q = self._quantized()
-        with pytest.raises(InvalidField):
-            synth_distort(q, "warp", 1.0)
-        with pytest.raises(InvalidField):
-            synth_distort(q, "requantize", 0)
+        for bits in (0, 9):
+            with pytest.raises(InvalidField):
+                synth_distort(q, bits)
 
 
 class TestDemoDataset:
