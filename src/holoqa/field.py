@@ -173,7 +173,9 @@ def _quantize_plane(values: np.ndarray) -> tuple[np.ndarray, AffineRecord]:
     if hi == lo:
         # degenerate constant plane: scale 1, all codes 0, exact round trip
         return np.zeros(values.shape, dtype=np.uint8), AffineRecord(lo, 1.0)
-    scale = (hi - lo) / 255.0
+    # a span below 255 x 5e-324 would underflow the scale to 0; floored at
+    # the smallest subnormal, its codes count subnormal steps exactly
+    scale = max((hi - lo) / 255.0, 5e-324)
     codes = np.clip(np.round((values - lo) / scale), 0, 255).astype(np.uint8)
     return codes, AffineRecord(lo, scale)
 

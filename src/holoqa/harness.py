@@ -11,7 +11,14 @@ Tracks:
 * qa3 scores 8-bit amplitude reconstructions of each view and focal plane,
   clipped against the shared reference bound;
 * qa4 is qa3 with adaptive Wiener despeckling of both amplitudes before the
-  clip, with AUTO noise variance resolved once from the reference.
+  clip, with AUTO noise variance resolved once per reference view (view and
+  focal plane) and shared by every distorted version.
+
+Scoring is reference-first: each stimulus's reference and each distorted
+field are loaded and prepared (qa2: converted) once; then, one view at a
+time, the reference is cropped or rendered once and every distorted version
+is scored against it, with a reference scratch that keeps the reference-only
+metric intermediates across the versions.
 
 Evaluation samples are one score per (stimulus, view) for qa1/qa2 and one per
 (stimulus, view, focal plane) for qa3/qa4; MOS records are matched at the
@@ -206,76 +213,94 @@ def _view_aperture(view: str, rows: int, cols: int, size) -> ApertureSpec:
     return ApertureSpec.right_corner(rows, cols, h, w)
 
 
-def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField):
-    """qa1/qa2 scoring on a pair of quantized hologram crops."""
+def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField,
+                      ref_scratch):
+    """qa1/qa2 scoring on a pair of quantized hologram crops. ``ref_scratch``
+    holds the reference crop's real-plane, imaginary-plane and complex
+    scratches."""
     out = {}
     ref_c = dist_c = None
     # one scratch per plane pair: real planes, imaginary planes, complex fields
     planes_scratch, complex_scratch = ({}, {}), {}
     for mid in metric_ids:
         if mid in COMPLEX_METRICS:
+            # dequantized per pair, so the complex crops are not held while
+            # the real metrics run
             if ref_c is None:
                 ref_c = dequantize_components(ref_q).data
                 dist_c = dequantize_components(dist_q).data
-            out[mid] = evaluate_complex(mid, ref_c, dist_c, scratch=complex_scratch)
+            out[mid] = evaluate_complex(mid, ref_c, dist_c, scratch=complex_scratch,
+                                        ref_scratch=ref_scratch[2])
         else:
-            out[mid] = score_components_avg(mid, ref_q, dist_q, scratch=planes_scratch)
+            out[mid] = score_components_avg(mid, ref_q, dist_q, scratch=planes_scratch,
+                                            ref_scratch=ref_scratch[:2])
     return out
 
 
-def _field_pair_scores(config: TrackConfig, manifest: DatasetManifest,
-                       entry: StimulusEntry, tag: str, metric_ids):
-    """Hologram-domain samples: one score dict per view, focal_index -1."""
-    ref_q = manifest.load_reference(entry)
-    dist_q = manifest.load_distorted(entry, tag)
-    ap_size = entry.aperture_size
-    if config.track == "qa2":
-        m = config.upsample_m
-        ref_f, _ = fourier_to_fresnel(dequantize_components(ref_q), m)
-        dist_f, _ = fourier_to_fresnel(dequantize_components(dist_q), m)
-        ref_q = quantize_components(ref_f)
-        dist_q = quantize_components(dist_f)
-        ap_size = (ap_size[0] * m, ap_size[1] * m)
-    samples = []
+def _prepared_field(config: TrackConfig, q: QuantizedField) -> QuantizedField:
+    """The field qa1 scores as loaded; qa2 converts it to Fresnel form and
+    requantizes it."""
+    if config.track != "qa2":
+        return q
+    fresnel, _ = fourier_to_fresnel(dequantize_components(q), config.upsample_m)
+    return quantize_components(fresnel)
+
+
+def _field_scores(config: TrackConfig, manifest: DatasetManifest,
+                  entry: StimulusEntry, metric_ids):
+    """Hologram-domain samples (tag, view, -1, scores), view by view: each
+    view's reference crop is cut once and every distorted version is scored
+    against it."""
+    ref_q = _prepared_field(config, manifest.load_reference(entry))
+    dists = {tag: _prepared_field(config, manifest.load_distorted(entry, tag))
+             for tag in entry.distorted}
+    m = config.upsample_m if config.track == "qa2" else 1
+    ap_size = (entry.aperture_size[0] * m, entry.aperture_size[1] * m)
     for view in manifest.views:
+        ref_scratch = ({}, {}, {})
         ap = _view_aperture(view, ref_q.rows, ref_q.cols, ap_size)
         ref_crop = extract_aperture_quantized(ref_q, ap)
-        dist_crop = extract_aperture_quantized(dist_q, ap)
-        samples.append((view, -1, _score_field_pair(metric_ids, ref_crop, dist_crop)))
-    return samples
+        for tag, dist_q in dists.items():
+            dist_crop = extract_aperture_quantized(dist_q, ap)
+            yield tag, view, -1, _score_field_pair(metric_ids, ref_crop, dist_crop,
+                                                   ref_scratch)
 
 
-def _view_pair_scores(config: TrackConfig, manifest: DatasetManifest,
-                      entry: StimulusEntry, tag: str, metric_ids):
-    """View-domain samples: one score dict per (view, focal_index)."""
+def _view_scores(config: TrackConfig, manifest: DatasetManifest,
+                 entry: StimulusEntry, metric_ids):
+    """View-domain samples (tag, view, focal_index, scores), one reference
+    render at a time: each (view, focal) of the reference is reconstructed,
+    its AUTO noise resolved and despeckled (qa4) once, and every distorted
+    version is scored against it."""
     ref = dequantize_components(manifest.load_reference(entry))
-    dist = dequantize_components(manifest.load_distorted(entry, tag))
-    samples = []
+    dists = {tag: dequantize_components(manifest.load_distorted(entry, tag))
+             for tag in entry.distorted}
     for view in manifest.views:
         ap = _view_aperture(view, ref.rows, ref.cols, entry.aperture_size)
         for fi, offset in enumerate(entry.focal_offsets):
+            ref_scratch = {}
             ref_amp = reconstruct_view(ref, ap, offset)
-            dist_amp = reconstruct_view(dist, ap, offset)
             if config.track == "qa4":
                 wp = resolve_params(ref_amp, config.wiener)
                 ref_amp = wiener_denoise(ref_amp, wp)
-                dist_amp = wiener_denoise(dist_amp, wp)
-            ref_view, dist_view = clip_and_quantize_view(
-                ref_amp, dist_amp, config.clip_percentile, ap, offset,
-                f"{entry.stimulus_id}:{tag}",
-            )
-            scratch = {}
-            scores = {
-                mid: evaluate_real(
-                    mid,
-                    ref_view.pixels.astype(np.float64),
-                    dist_view.pixels.astype(np.float64),
-                    scratch=scratch,
+            for tag, dist in dists.items():
+                dist_amp = reconstruct_view(dist, ap, offset)
+                if config.track == "qa4":
+                    dist_amp = wiener_denoise(dist_amp, wp)
+                ref_view, dist_view = clip_and_quantize_view(
+                    ref_amp, dist_amp, config.clip_percentile, ap, offset,
+                    f"{entry.stimulus_id}:{tag}",
                 )
-                for mid in metric_ids
-            }
-            samples.append((view, fi, scores))
-    return samples
+                # the reference's codes depend on ref_amp alone, so every
+                # version meets the same reference view and ref_scratch
+                ref_px = ref_view.pixels.astype(np.float64)
+                dist_px = dist_view.pixels.astype(np.float64)
+                scratch = {}
+                yield tag, view, fi, {
+                    mid: evaluate_real(mid, ref_px, dist_px, scratch=scratch,
+                                       ref_scratch=ref_scratch)
+                    for mid in metric_ids
+                }
 
 
 def _mos_lookup(mos_records):
@@ -311,14 +336,18 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
         if not lo <= r.mos <= hi:
             raise CorruptInput(f"MOS {r.mos!r} of {r.stimulus_id}/{r.display.value} "
                                f"lies outside the rating scale [{lo!r}, {hi!r}]")
-    scorer = _field_pair_scores if config.track in ("qa1", "qa2") else _view_pair_scores
+    scorer = _field_scores if config.track in ("qa1", "qa2") else _view_scores
 
     raw = []          # ScoreRecord list, manifest order
     samples = []      # (stimulus_id, view, focal_index, scores dict)
     for entry in manifest.stimuli:
-        for tag in entry.distorted:
+        # scored reference-first, recorded in manifest order (tag, view, focal)
+        by_tag = {tag: [] for tag in entry.distorted}
+        for tag, view, fi, scores in scorer(config, manifest, entry, metric_ids):
+            by_tag[tag].append((view, fi, scores))
+        for tag, tag_samples in by_tag.items():
             sid = f"{entry.stimulus_id}:{tag}"
-            for view, fi, scores in scorer(config, manifest, entry, tag, metric_ids):
+            for view, fi, scores in tag_samples:
                 samples.append((sid, view, fi, scores))
                 for mid in metric_ids:
                     raw.append(ScoreRecord(sid, view, fi, mid, scores[mid]))

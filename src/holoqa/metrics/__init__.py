@@ -7,12 +7,17 @@ complex-capable variants mse_C, nmse_C, psnr_C, ssrm_C, ssrmt_C.
 Each metric is a plain ``(ref, dist) -> float`` function in its standard
 formulation; its constants are fixed module values next to it.
 
-Scratch: the ``scratch`` dict that ``evaluate_real``/``evaluate_complex`` take
-(``score_components_avg``: one per plane) lets the metrics of one (ref, dist)
-pair share intermediates: ssrm/ssrmt (and _C) one FFT-magnitude and rank pass
-per image, ssim/iwssim/msssim the full-size luminance and contrast-structure
-maps. Make a new scratch per pair; it holds one intermediate at a time. Values
-are bit-identical to calls without a scratch.
+Scratch: ``evaluate_real``, ``evaluate_complex`` and ``score_components_avg``
+(one dict per plane) take two optional dicts. The pair ``scratch`` lets the
+metrics of one (ref, dist) pair share intermediates: ssrm/ssrmt (and _C) one
+FFT-magnitude and rank pass per image, ssim/iwssim/msssim the full-size
+luminance and contrast-structure maps. Make a new one per pair; it holds one
+intermediate at a time. The ``ref_scratch`` belongs to one reference plane,
+view or complex crop and lives across every distorted version scored against
+it. It holds only reference-only intermediates, one per key and never
+evicted: fsim's phase congruency ("pc"), ssrm/ssrmt's FFT magnitudes and
+mid-ranks ("spectrum") and nlpd's normalized pyramid ("pyramid"). Values are
+bit-identical to calls without either scratch.
 """
 
 from __future__ import annotations
@@ -51,8 +56,9 @@ COMPLEX_METRICS = tuple(f"{mid}_C" for mid in COMPLEX_CAPABLE)
 
 ALL_METRIC_IDS = tuple(REAL_METRICS) + COMPLEX_METRICS
 
-# metrics that read and fill a scratch
+# metrics that read and fill a pair scratch, and a reference scratch
 _SCRATCH_METRICS = frozenset({"ssrm", "ssrmt", "ssim", "iwssim", "msssim"})
+_REF_SCRATCH_METRICS = frozenset({"ssrm", "ssrmt", "fsim", "nlpd"})
 
 # metrics that can emit a per-pixel quality map
 MAP_METRICS = {"ssim": ssim_map, "gmsd": gmsd_map}
@@ -82,21 +88,27 @@ def perfect_value(metric_id: str) -> float:
     return 1.0
 
 
-def _run(metric_id: str, ref, dist, scratch) -> float:
-    kwargs = {"scratch": scratch} if metric_id in _SCRATCH_METRICS else {}
+def _run(metric_id: str, ref, dist, scratch, ref_scratch) -> float:
+    kwargs = {}
+    if metric_id in _SCRATCH_METRICS:
+        kwargs["scratch"] = scratch
+    if metric_id in _REF_SCRATCH_METRICS:
+        kwargs["ref_scratch"] = ref_scratch
     return REAL_METRICS[metric_id](ref, dist, **kwargs)
 
 
-def evaluate_real(metric_id: str, ref, dist, scratch: dict | None = None) -> float:
+def evaluate_real(metric_id: str, ref, dist, scratch: dict | None = None,
+                  ref_scratch: dict | None = None) -> float:
     """Run a real-valued metric on a pair of real 2D grids."""
     if metric_id not in REAL_METRICS:
         raise UnknownMetric(
             f"unknown metric {metric_id!r}; known: {', '.join(ALL_METRIC_IDS)}"
         )
-    return _run(metric_id, ref, dist, scratch)
+    return _run(metric_id, ref, dist, scratch, ref_scratch)
 
 
-def evaluate_complex(metric_id: str, ref, dist, scratch: dict | None = None) -> float:
+def evaluate_complex(metric_id: str, ref, dist, scratch: dict | None = None,
+                     ref_scratch: dict | None = None) -> float:
     """Run a complex-capable metric (id with "_C" suffix) on complex grids."""
     if metric_id not in COMPLEX_METRICS:
         raise UnknownMetric(
@@ -105,16 +117,20 @@ def evaluate_complex(metric_id: str, ref, dist, scratch: dict | None = None) -> 
         )
     ref = np.asarray(ref, dtype=np.complex128)
     dist = np.asarray(dist, dtype=np.complex128)
-    return _run(metric_id[:-2], ref, dist, scratch)
+    return _run(metric_id[:-2], ref, dist, scratch, ref_scratch)
 
 
 def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedField,
-                         scratch: tuple = (None, None)) -> float:
+                         scratch: tuple = (None, None),
+                         ref_scratch: tuple = (None, None)) -> float:
     """Apply a real-valued metric to the 8-bit real planes and the 8-bit
     imaginary planes separately and return the arithmetic mean. ``scratch``
-    is a (real-plane, imaginary-plane) pair of scratch dicts."""
+    is a (real-plane, imaginary-plane) pair of scratch dicts, ``ref_scratch``
+    the same for the reference's planes."""
     re_score = evaluate_real(metric_id, ref.real_plane.astype(np.float64),
-                             dist.real_plane.astype(np.float64), scratch[0])
+                             dist.real_plane.astype(np.float64), scratch[0],
+                             ref_scratch[0])
     im_score = evaluate_real(metric_id, ref.imag_plane.astype(np.float64),
-                             dist.imag_plane.astype(np.float64), scratch[1])
+                             dist.imag_plane.astype(np.float64), scratch[1],
+                             ref_scratch[1])
     return 0.5 * (re_score + im_score)

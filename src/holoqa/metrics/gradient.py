@@ -7,6 +7,7 @@ import functools
 import numpy as np
 from scipy.ndimage import correlate
 
+from .params import from_ref_scratch
 from .ssim import _check_pair
 
 _PREWITT_X = np.array([[1.0, 0.0, -1.0]] * 3) / 3.0
@@ -104,11 +105,12 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
     return energy / (amp_sum + _PC_EPS)
 
 
-def fsim(ref, dist) -> float:
+def fsim(ref, dist, ref_scratch: dict | None = None) -> float:
     """Feature similarity: phase congruency and Scharr gradient similarity,
-    pooled with max(PC_ref, PC_dist) weights. Grayscale only (T3 unused)."""
+    pooled with max(PC_ref, PC_dist) weights. Grayscale only (T3 unused).
+    The reference's phase congruency is kept in ``ref_scratch``."""
     ref, dist = _check_pair(ref, dist)
-    pc_r = phase_congruency(ref)
+    pc_r = from_ref_scratch(ref_scratch, "pc", lambda: phase_congruency(ref))
     pc_d = phase_congruency(dist)
     g_r = _gradient_magnitude(ref, _SCHARR_X)
     g_d = _gradient_magnitude(dist, _SCHARR_X)

@@ -1,4 +1,4 @@
-"""The per-pair scratch lookup shared by the metrics."""
+"""The scratch lookups shared by the metrics."""
 
 from __future__ import annotations
 
@@ -13,3 +13,15 @@ def from_scratch(scratch: dict | None, key, compute):
         scratch.clear()
         scratch[key] = compute()
     return scratch[key]
+
+
+def from_ref_scratch(ref_scratch: dict | None, key, compute):
+    """Reference-only intermediate ``key`` of the reference ``ref_scratch``
+    belongs to, computed by ``compute()`` on a miss. Nothing is evicted: the
+    scratch lives for one reference plane, view or complex crop and holds at
+    most one entry per key, for every distorted version scored against it."""
+    if ref_scratch is None:
+        return compute()
+    if key not in ref_scratch:
+        ref_scratch[key] = compute()
+    return ref_scratch[key]

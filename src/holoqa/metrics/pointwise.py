@@ -14,7 +14,7 @@ def _as_pair(ref, dist):
         raise DimMismatch(f"shape mismatch: {ref.shape} vs {dist.shape}")
     cplx = np.iscomplexobj(ref) or np.iscomplexobj(dist)
     dtype = np.complex128 if cplx else np.float64
-    return ref.astype(dtype), dist.astype(dtype), cplx
+    return np.asarray(ref, dtype=dtype), np.asarray(dist, dtype=dtype), cplx
 
 
 def mse_value(ref, dist) -> float:

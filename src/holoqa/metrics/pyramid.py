@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import correlate
 
+from .params import from_ref_scratch
 from .ssim import _check_pair
 
 _BINOMIAL = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 256.0
@@ -46,11 +47,13 @@ def _normalized_pyramid(img: np.ndarray, levels: int):
     return out
 
 
-def nlpd(ref, dist) -> float:
+def nlpd(ref, dist, ref_scratch: dict | None = None) -> float:
     """Mean over pyramid levels of the RMS difference between the normalized
-    bands; 0 is perfect. Inputs are scaled by the 8-bit dynamic range first."""
+    bands; 0 is perfect. Inputs are scaled by the 8-bit dynamic range first.
+    The reference's normalized pyramid is kept in ``ref_scratch``."""
     ref, dist = _check_pair(ref, dist)
-    pyr_r = _normalized_pyramid(ref / 255.0, _LEVELS)
+    pyr_r = from_ref_scratch(ref_scratch, "pyramid",
+                             lambda: _normalized_pyramid(ref / 255.0, _LEVELS))
     pyr_d = _normalized_pyramid(dist / 255.0, _LEVELS)
     dists = [np.sqrt(np.mean((a - b) ** 2)) for a, b in zip(pyr_r, pyr_d)]
     return float(np.mean(dists))

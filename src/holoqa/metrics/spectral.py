@@ -19,18 +19,26 @@ import numpy as np
 from scipy.stats import rankdata
 
 from ..errors import DegenerateReference
-from .params import from_scratch
+from .params import from_ref_scratch, from_scratch
 from .pointwise import _as_pair
 
 
-def _spectral_ranks(ref, dist):
-    """FFT magnitudes of a pair and their descending mid-ranks."""
-    ref, dist, _ = _as_pair(ref, dist)
-    a_ref = np.abs(np.fft.fft2(ref.astype(np.complex128))).ravel()
-    a_dist = np.abs(np.fft.fft2(dist.astype(np.complex128))).ravel()
-    r_ref = rankdata(-a_ref, method="average")
-    r_dist = rankdata(-a_dist, method="average")
-    return a_ref, a_dist, r_ref, r_dist
+def _spectral_ranks(img: np.ndarray):
+    """FFT magnitudes of one image and their descending mid-ranks."""
+    a = np.abs(np.fft.fft2(np.asarray(img, dtype=np.complex128))).ravel()
+    return a, rankdata(-a, method="average")
+
+
+def _pair_ranks(ref, dist, scratch, ref_scratch):
+    """Magnitudes and mid-ranks of a pair, shared by ssrm and ssrmt through
+    the pair ``scratch``; the reference's half comes from ``ref_scratch``."""
+    def compute():
+        r, d, _ = _as_pair(ref, dist)
+        a_ref, r_ref = from_ref_scratch(ref_scratch, "spectrum",
+                                        lambda: _spectral_ranks(r))
+        a_dist, r_dist = _spectral_ranks(d)
+        return a_ref, a_dist, r_ref, r_dist
+    return from_scratch(scratch, "spectral_ranks", compute)
 
 
 def _ac_ranks(a: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -54,10 +62,10 @@ def _rank_agreement(a_ref: np.ndarray, r_ref: np.ndarray, r_dist: np.ndarray) ->
     return float(np.sum(a_ref * agreement) / total)
 
 
-def ssrm(ref, dist, scratch: dict | None = None) -> float:
+def ssrm(ref, dist, scratch: dict | None = None,
+         ref_scratch: dict | None = None) -> float:
     """SSRM: DC term scored separately, blended by its magnitude share."""
-    a_ref, a_dist, r_ref, r_dist = from_scratch(
-        scratch, "spectral_ranks", lambda: _spectral_ranks(ref, dist))
+    a_ref, a_dist, r_ref, r_dist = _pair_ranks(ref, dist, scratch, ref_scratch)
     dc_ref, dc_dist = a_ref[0], a_dist[0]
     ac_ref = a_ref[1:]
     if a_ref.sum() == 0.0:
@@ -77,8 +85,8 @@ def ssrm(ref, dist, scratch: dict | None = None) -> float:
     return alpha * dc_score + (1.0 - alpha) * ac_score
 
 
-def ssrmt(ref, dist, scratch: dict | None = None) -> float:
+def ssrmt(ref, dist, scratch: dict | None = None,
+          ref_scratch: dict | None = None) -> float:
     """SSRMt: the DC term is ranked just like any other coefficient."""
-    a_ref, _, r_ref, r_dist = from_scratch(
-        scratch, "spectral_ranks", lambda: _spectral_ranks(ref, dist))
+    a_ref, _, r_ref, r_dist = _pair_ranks(ref, dist, scratch, ref_scratch)
     return _rank_agreement(a_ref, r_ref, r_dist)

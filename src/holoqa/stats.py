@@ -12,7 +12,8 @@ from enum import Enum
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import rankdata, t as t_dist
+from scipy.special import stdtr
+from scipy.stats import rankdata
 
 from .errors import CorruptInput, DegenerateRanks, StimulusMismatch
 
@@ -266,7 +267,7 @@ def significance_matrix(residual_sets: dict, alpha: float = 0.05) -> Significanc
             if sd == 0.0:
                 continue
             t_stat = d.mean() / (sd / np.sqrt(n))
-            p = 2.0 * t_dist.sf(abs(t_stat), n - 1)
+            p = 2.0 * stdtr(n - 1, -abs(t_stat))
             if p < alpha:
                 sign = -1 if t_stat > 0 else 1   # larger residuals = worse
                 entries[i, j] = sign

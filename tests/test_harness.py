@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from holoqa import harness
 from holoqa.cli import main
 from holoqa.errors import NoOverlap, UnknownMetric
 from holoqa.harness import (
@@ -22,6 +23,7 @@ from holoqa.harness import (
     run_track,
 )
 from holoqa.stats import Display, MosRecord, read_mos_csv, evaluate_metric
+from holoqa.synth import generate_demo_dataset
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +122,58 @@ class TestRunTrack:
         row = evaluate_metric("mse", scores, records).row
         got = next(r for r in report.criteria[Display.OPT] if r.metric_id == "mse")
         assert row == got
+
+
+@pytest.fixture(scope="module")
+def dots_dataset(tmp_path_factory):
+    """One reference with two distorted versions."""
+    root = str(tmp_path_factory.mktemp("dots"))
+    manifest = generate_demo_dataset(root, scenes=("dots",), bits_levels=(7, 6),
+                                     seed=1234)
+    return load_manifest(manifest), read_mos_csv(os.path.join(root, "mos.csv"))
+
+
+def _counted(monkeypatch, name):
+    """Wrap ``holoqa.harness.<name>``; returns the list of its call arguments."""
+    calls = []
+    fn = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+class TestReferenceFirst:
+    """Each reference is prepared once per stimulus and each distorted field
+    once; the stages are looked up on ``holoqa.harness`` at call time."""
+
+    def test_qa2_converts_each_field_once(self, dots_dataset, monkeypatch):
+        manifest, mos = dots_dataset
+        calls = _counted(monkeypatch, "fourier_to_fresnel")
+        report = run_track(manifest, mos, TrackConfig("qa2", metrics=("mse", "fsim")))
+        (entry,) = manifest.stimuli
+        assert len(calls) == 1 + len(entry.distorted)
+        # raw scores keep manifest order: tag, then view
+        assert [(r.stimulus_id, r.view) for r in report.raw_scores[::2]] == [
+            (f"{entry.stimulus_id}:{tag}", view)
+            for tag in entry.distorted for view in manifest.views]
+
+    def test_qa4_renders_each_field_view_once(self, dots_dataset, monkeypatch):
+        manifest, mos = dots_dataset
+        resolves = _counted(monkeypatch, "resolve_params")
+        renders = _counted(monkeypatch, "reconstruct_view")
+        report = run_track(manifest, mos, TrackConfig("qa4", metrics=("mse", "fsim")))
+        (entry,) = manifest.stimuli
+        n_views = len(manifest.views) * len(entry.focal_offsets)
+        assert len(resolves) == n_views
+        assert len(renders) == (1 + len(entry.distorted)) * n_views
+        assert len({(id(f), ap, offset) for f, ap, offset in renders}) == len(renders)
+        assert [(r.stimulus_id, r.view, r.focal_index) for r in report.raw_scores[::2]] == [
+            (f"{entry.stimulus_id}:{tag}", view, fi)
+            for tag in entry.distorted for view in manifest.views
+            for fi in range(len(entry.focal_offsets))]
 
 
 class TestEmitReport:

@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import rankdata
 
 from holoqa.errors import (
@@ -79,6 +80,60 @@ class TestIdentity:
             value = evaluate_complex(mid, fld, fld.copy())
             assert value == perfect_value(mid), mid
             assert type(evaluate_complex(mid, fld, 0.9 * fld)) is float, mid
+
+
+@st.composite
+def _gray_images(draw):
+    """Non-constant 8-bit images of at least 176^2 (the MS-SSIM minimum):
+    uniform noise, a smooth pattern with noise, or a few pixels on black."""
+    shape = (draw(st.integers(176, 200)), draw(st.integers(176, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("noise", "smooth", "sparse")))
+    if kind == "noise":
+        img = rng.integers(0, 256, shape)
+    elif kind == "smooth":
+        yy, xx = np.mgrid[0:shape[0], 0:shape[1]]
+        f = rng.uniform(0.02, 0.5, 2)
+        img = np.clip(np.round(128 + 100 * np.sin(f[0] * xx) * np.cos(f[1] * yy)
+                               + rng.normal(0, 5, shape)), 0, 255)
+    else:
+        img = np.zeros(shape)
+        n = draw(st.integers(1, 50))
+        img[rng.integers(0, shape[0], n), rng.integers(0, shape[1], n)] = \
+            rng.integers(1, 256, n)
+    img = img.astype(np.float64)
+    assume(img.min() != img.max())
+    return img
+
+
+class TestIdentityProperty:
+    """Every metric scores perfect_value on identical inputs, with a cold
+    reference scratch and with one warmed by another distorted version."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(_gray_images())
+    def test_real_metrics(self, img):
+        other = 255.0 - img
+        for mid in REAL_METRICS:
+            want = perfect_value(mid)
+            assert evaluate_real(mid, img, img.copy(), ref_scratch={}) == want, mid
+            warm = {}
+            evaluate_real(mid, img, other, ref_scratch=warm)
+            assert evaluate_real(mid, img, img.copy(), ref_scratch=warm) == want, mid
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3))
+    def test_complex_metrics(self, rows, cols, seed, amp):
+        rng = np.random.default_rng(seed)
+        fld = amp * (rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+        other = fld[::-1, ::-1] * 0.5j
+        for mid in COMPLEX_METRICS:
+            want = perfect_value(mid)
+            assert evaluate_complex(mid, fld, fld.copy(), ref_scratch={}) == want, mid
+            warm = {}
+            evaluate_complex(mid, fld, other, ref_scratch=warm)
+            assert evaluate_complex(mid, fld, fld.copy(), ref_scratch=warm) == want, mid
 
 
 class TestPointwise:
@@ -318,6 +373,51 @@ class TestSharing:
         for mid in REAL_METRICS:
             want = score_components_avg(mid, ref_q, dist_q)
             assert score_components_avg(mid, ref_q, dist_q, scratch=planes) == want, mid
+
+    def test_ref_scratch_values_bit_identical(self, image, noisy_versions):
+        from holoqa.field import HologramForm, WaveField, quantize_components
+
+        ref_keys = {"pc", "spectrum", "pyramid"}
+
+        def field(img):
+            return img + 1j * img[::-1]
+
+        # views: one warm reference scratch across the distorted versions
+        view_ref = {}
+        for dist in noisy_versions:
+            scratch = {}
+            for mid in REAL_METRICS:
+                want = evaluate_real(mid, image, dist)
+                got = evaluate_real(mid, image, dist, scratch=scratch, ref_scratch=view_ref)
+                assert got == want, mid
+        assert set(view_ref) == ref_keys
+
+        # complex crops
+        complex_ref = {}
+        for dist in noisy_versions:
+            scratch = {}
+            for mid in COMPLEX_METRICS:
+                want = evaluate_complex(mid, field(image), field(dist))
+                got = evaluate_complex(mid, field(image), field(dist), scratch=scratch,
+                                       ref_scratch=complex_ref)
+                assert got == want, mid
+        assert set(complex_ref) == {"spectrum"}
+
+        # real and imaginary planes
+        def quantized(img):
+            return quantize_components(WaveField(field(img), 8e-6, 640e-9,
+                                                 HologramForm.FOURIER))
+        ref_q = quantized(image)
+        planes_ref = ({}, {})
+        for dist in noisy_versions:
+            dist_q = quantized(dist)
+            planes = ({}, {})
+            for mid in REAL_METRICS:
+                want = score_components_avg(mid, ref_q, dist_q)
+                got = score_components_avg(mid, ref_q, dist_q, scratch=planes,
+                                           ref_scratch=planes_ref)
+                assert got == want, mid
+        assert [set(r) for r in planes_ref] == [ref_keys, ref_keys]
 
     def test_phase_congruency_cache_matches_uncached(self, image):
         gradient._log_gabor_factors.cache_clear()

@@ -286,6 +286,20 @@ class TestSignificance:
         with pytest.raises(StimulusMismatch):
             significance_matrix({"a": np.ones(5), "b": np.ones(6)})
 
+    @pytest.mark.parametrize("df", [1, 5, 11, 23, 47])
+    def test_stdtr_p_value_equals_t_sf(self, df):
+        # significance_matrix's two-sided p = 2 * stdtr(df, -|t|), bit for bit
+        # the Student-t survival function it replaces
+        from scipy.special import stdtr
+        from scipy.stats import t as t_dist
+
+        rng = np.random.default_rng(df)
+        ts = np.concatenate([[0.0, 1e-300, 50.0, np.inf],
+                             np.abs(rng.standard_normal(500)) * 4.0,
+                             rng.uniform(0.0, 40.0, 500)])
+        for t_stat in ts:
+            assert 2.0 * stdtr(df, -abs(t_stat)) == 2.0 * t_dist.sf(abs(t_stat), df)
+
 
 class TestEvaluateMetric:
     @staticmethod
