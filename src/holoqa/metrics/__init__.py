@@ -18,9 +18,15 @@ it. It holds only reference-only intermediates, one per key and never
 evicted: fsim's phase congruency ("pc"), ssrm/ssrmt's FFT magnitudes and
 mid-ranks ("spectrum") and nlpd's normalized pyramid ("pyramid"). Values are
 bit-identical to calls without either scratch.
+
+``score_components_avg`` scores the imaginary planes on a worker thread of
+its own while the calling thread scores the real planes; each plane has its
+own scratches, so the value is the serial one.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -126,11 +132,16 @@ def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedFie
     """Apply a real-valued metric to the 8-bit real planes and the 8-bit
     imaginary planes separately and return the arithmetic mean. ``scratch``
     is a (real-plane, imaginary-plane) pair of scratch dicts, ``ref_scratch``
-    the same for the reference's planes."""
-    re_score = evaluate_real(metric_id, ref.real_plane.astype(np.float64),
-                             dist.real_plane.astype(np.float64), scratch[0],
-                             ref_scratch[0])
-    im_score = evaluate_real(metric_id, ref.imag_plane.astype(np.float64),
-                             dist.imag_plane.astype(np.float64), scratch[1],
-                             ref_scratch[1])
-    return 0.5 * (re_score + im_score)
+    the same for the reference's planes. The imaginary planes are scored on
+    a worker thread that lives for this call; leaving the ``with`` block waits
+    for it, so a real-plane error wins over an imaginary-plane one, and
+    neither is raised before both planes are done."""
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="holoqa-plane") as pool:
+        im_future = pool.submit(evaluate_real, metric_id,
+                                ref.imag_plane.astype(np.float64),
+                                dist.imag_plane.astype(np.float64), scratch[1],
+                                ref_scratch[1])
+        re_score = evaluate_real(metric_id, ref.real_plane.astype(np.float64),
+                                 dist.real_plane.astype(np.float64), scratch[0],
+                                 ref_scratch[0])
+    return 0.5 * (re_score + im_future.result())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 from scipy.ndimage import correlate
@@ -51,6 +52,11 @@ _PC_DTHETA_ON_SIGMA = 1.2
 _PC_EPS = 1e-4
 
 
+# held around the cache lookup, so two plane threads that miss it together
+# build one bank, not two
+_BANK_LOCK = threading.Lock()
+
+
 @functools.lru_cache(maxsize=2)
 def _log_gabor_factors(rows: int, cols: int):
     """Read-only angular spreads (per orientation) and radial profiles (per
@@ -92,7 +98,8 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
     spectrum = np.fft.fft2(img)
     energy = np.zeros(img.shape)
     amp_sum = np.zeros(img.shape)
-    spreads, radials = _log_gabor_factors(*img.shape)
+    with _BANK_LOCK:
+        spreads, radials = _log_gabor_factors(*img.shape)
     for spread in spreads:
         sum_re = np.zeros(img.shape)
         sum_im = np.zeros(img.shape)

@@ -16,9 +16,9 @@ coefficients.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ..errors import DegenerateReference
+from ..stats import midranks
 from .params import from_ref_scratch, from_scratch
 from .pointwise import _as_pair
 
@@ -26,7 +26,7 @@ from .pointwise import _as_pair
 def _spectral_ranks(img: np.ndarray):
     """FFT magnitudes of one image and their descending mid-ranks."""
     a = np.abs(np.fft.fft2(np.asarray(img, dtype=np.complex128))).ravel()
-    return a, rankdata(-a, method="average")
+    return a, midranks(-a)
 
 
 def _pair_ranks(ref, dist, scratch, ref_scratch):

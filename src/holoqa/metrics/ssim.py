@@ -11,7 +11,7 @@ ones for 8-bit input (dynamic range L = 255).
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from ..errors import DegenerateReference, DimMismatch, InputTooSmall
 from .params import from_scratch
@@ -38,6 +38,20 @@ def gaussian_window(size: int, sigma: float) -> np.ndarray:
     g = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
     win = np.outer(g, g)
     return win / win.sum()
+
+
+def fftconvolve(img: np.ndarray, win: np.ndarray, mode: str) -> np.ndarray:
+    """2-D linear convolution of real ``img`` with the smaller real ``win``,
+    cut to its "valid" or "same" region. Bit for bit
+    ``scipy.signal.fftconvolve(img, win, mode)``: the same padded ``rfftn``
+    pair, ``irfftn`` of their product and centred slice."""
+    full = [a + b - 1 for a, b in zip(img.shape, win.shape)]
+    fshape = [sp_fft.next_fast_len(n, True) for n in full]
+    out = sp_fft.irfftn(sp_fft.rfftn(img, fshape) * sp_fft.rfftn(win, fshape), fshape)
+    shape = (img.shape if mode == "same"
+             else [a - b + 1 for a, b in zip(img.shape, win.shape)])
+    cut = tuple(slice((f - n) // 2, (f - n) // 2 + n) for f, n in zip(full, shape))
+    return out[cut].copy()
 
 
 def _local_stats(ref, dist, win):

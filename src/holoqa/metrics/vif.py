@@ -9,10 +9,9 @@ information content of the reference.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from ..errors import DegenerateReference
-from .ssim import _check_pair, _local_stats, gaussian_window
+from .ssim import _check_pair, _local_stats, fftconvolve, gaussian_window
 
 _SIGMA_NSQ = 2.0
 _VAR_EPS = 1e-10

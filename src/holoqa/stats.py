@@ -13,7 +13,6 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import stdtr
-from scipy.stats import rankdata
 
 from .errors import CorruptInput, DegenerateRanks, StimulusMismatch
 
@@ -118,12 +117,28 @@ def pcc(x, y) -> float:
     return float(np.sum(xd * yd) / denom)
 
 
+def midranks(x) -> np.ndarray:
+    """1-based ranks of the flattened ``x``, ties sharing the mean of their
+    span: the values of ``scipy.stats.rankdata(x, method="average")`` (exact,
+    as mid-ranks are half-integers). Any NaN makes every rank NaN."""
+    x = np.ravel(x)
+    order = np.argsort(x)
+    s = x[order]
+    if s.size and np.isnan(s[-1]):      # argsort puts NaN last
+        return np.full(s.size, np.nan)
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def srocc(x, y) -> float:
     """Spearman rank-order correlation: Pearson on mid-ranks (ties averaged)."""
     x, y = _as_vectors(x, y)
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateRanks("constant vector; rank correlation undefined")
-    return pcc(rankdata(x, method="average"), rankdata(y, method="average"))
+    return pcc(midranks(x), midranks(y))
 
 
 def krcc(x, y) -> float:
@@ -355,9 +370,9 @@ def rank_aggregate(tables: list) -> dict:
         for crit in CRITERIA:
             values = np.array([getattr(row, crit) for row in table], dtype=np.float64)
             if crit in ASCENDING_CRITERIA:
-                scores = rankdata(-values, method="average")
+                scores = midranks(-values)
             else:
-                scores = rankdata(values, method="average")
+                scores = midranks(values)
             for mid, sc in zip(ids, scores):
                 totals[mid] = totals.get(mid, 0.0) + float(sc)
     return totals

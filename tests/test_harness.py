@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import holoqa
 from holoqa import harness
 from holoqa.cli import main
 from holoqa.errors import NoOverlap, UnknownMetric
@@ -225,10 +226,17 @@ class TestEmitReport:
         assert not os.path.exists(out)
 
 
+def _python(*args):
+    """A fresh interpreter that imports the ``holoqa`` under test."""
+    src = os.path.dirname(os.path.dirname(holoqa.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def _run_module(*args):
     """``python -m holoqa.cli`` in a fresh interpreter."""
-    return subprocess.run([sys.executable, "-m", "holoqa.cli", *args],
-                          capture_output=True, text=True)
+    return _python("-m", "holoqa.cli", *args)
 
 
 def _cli(*args):
@@ -357,6 +365,13 @@ class TestCli:
         out = _run_module("--version")
         assert out.returncode == 0
         assert "holoqa" in out.stdout
+
+    def test_import_loads_no_stats_or_signal_and_starts_no_thread(self):
+        out = _python("-c", "import sys, threading, holoqa.cli; "
+                            "print(sorted(m for m in sys.modules if m.startswith("
+                            "('scipy.stats', 'scipy.signal'))), threading.active_count())")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["[]", "1"]
 
     def test_unknown_metric_exit_2_lists_registry(self, demo_dataset):
         out = _run_module("bench", "--manifest", demo_dataset["manifest"],

@@ -1,15 +1,21 @@
 """Tests for the full-reference metric suite."""
 
 import importlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.signal import fftconvolve
 from scipy.stats import rankdata
 
+from holoqa import metrics
 from holoqa.errors import (
     DegenerateReference,
     DimMismatch,
+    HoloQAError,
     InputTooSmall,
     UnknownMetric,
 )
@@ -27,7 +33,7 @@ from holoqa.metrics.gradient import fsim, gmsd, gmsd_map, phase_congruency
 from holoqa.metrics.pointwise import mse, nmse, psnr
 from holoqa.metrics.pyramid import nlpd
 from holoqa.metrics.spectral import _ac_ranks, ssrm, ssrmt
-from holoqa.metrics.ssim import iw_ssim, ms_ssim, ssim, ssim_map, uqi
+from holoqa.metrics.ssim import gaussian_window, iw_ssim, ms_ssim, ssim, ssim_map, uqi
 from holoqa.metrics.vif import vifp
 
 # the module, not the function that holoqa.metrics exports under that name
@@ -260,6 +266,40 @@ class TestSsimFamily:
             ms_ssim(np.ones((64, 64)), np.ones((64, 64)))
 
 
+def _box(n):
+    return np.full((n, n), 1.0 / (n * n))
+
+
+_TAPS = np.array([0.5, 1.0, 0.5])
+
+# every (window, mode) the metrics filter with
+_CONVOLUTIONS = [
+    pytest.param(gaussian_window(11, 1.5), "valid", id="ssim-gauss11"),
+    *(pytest.param(gaussian_window(n, n / 5.0), "valid", id=f"vifp-gauss{n}")
+      for n in (17, 9, 5, 3)),
+    pytest.param(_box(3), "valid", id="iw-box3"),
+    pytest.param(_box(8), "valid", id="uqi-box8"),
+    pytest.param(np.outer(_TAPS, _TAPS), "same", id="iw-upsample3"),
+]
+
+
+class TestFftConvolve:
+    """The metrics' convolution is ``scipy.signal.fftconvolve`` bit for bit."""
+
+    @pytest.mark.parametrize("win, mode", _CONVOLUTIONS)
+    @pytest.mark.parametrize("shape", [(17, 17), (24, 31), (64, 64), (97, 128),
+                                       (384, 384)])
+    def test_equals_scipy(self, win, mode, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        img = rng.integers(0, 256, shape).astype(np.float64)
+        other = rng.integers(0, 256, shape).astype(np.float64)
+        for x in (img, img * other, np.zeros(shape)):
+            want = fftconvolve(x, win, mode=mode)
+            got = ssim_module.fftconvolve(x, win, mode)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
 class TestGradient:
     def test_gmsd_invariant_to_luminance_shift(self, image):
         assert gmsd(image, image + 25.0) == pytest.approx(0.0, abs=1e-12)
@@ -426,6 +466,30 @@ class TestSharing:
             assert np.array_equal(phase_congruency(img), _uncached_phase_congruency(img))
         assert gradient._log_gabor_factors.cache_info().currsize == 2
 
+    def test_concurrent_first_use_builds_one_bank(self, image):
+        gradient._log_gabor_factors.cache_clear()
+        start = threading.Barrier(4)
+        maps = []
+
+        def first_use():
+            start.wait(timeout=10)
+            maps.append(phase_congruency(image))
+
+        threads = [threading.Thread(target=first_use) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(maps) == 4
+        assert all(np.array_equal(m, _uncached_phase_congruency(image)) for m in maps)
+        assert gradient._log_gabor_factors.cache_info().misses == 1
+
     def test_cached_factors_are_read_only(self):
         spreads, radials = gradient._log_gabor_factors(32, 48)
         for arr in spreads + radials:
@@ -433,7 +497,64 @@ class TestSharing:
                 arr[0, 0] = 1.0
 
 
+def _quantized(img):
+    from holoqa.field import HologramForm, WaveField, quantize_components
+
+    return quantize_components(WaveField(img + 1j * img[::-1].T, 8e-6, 640e-9,
+                                         HologramForm.FOURIER))
+
+
+def _planes(q):
+    return q.real_plane.astype(np.float64), q.imag_plane.astype(np.float64)
+
+
 class TestComponentAveraging:
+    def test_threaded_planes_equal_serial_average(self, image, noisy_versions):
+        ref_q = _quantized(image)
+        ref_re, ref_im = _planes(ref_q)
+        planes_ref = ({}, {})        # cold for the first version, then warm
+        for dist in noisy_versions:
+            dist_q = _quantized(dist)
+            dist_re, dist_im = _planes(dist_q)
+            planes = ({}, {})
+            for mid in REAL_METRICS:
+                want = 0.5 * (evaluate_real(mid, ref_re, dist_re)
+                              + evaluate_real(mid, ref_im, dist_im))
+                assert score_components_avg(mid, ref_q, dist_q) == want, mid
+                got = score_components_avg(mid, ref_q, dist_q, scratch=planes,
+                                           ref_scratch=planes_ref)
+                assert got == want, mid
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({"real", "imag"}, DegenerateReference),
+        ({"imag"}, DimMismatch),
+        ({"real"}, DegenerateReference),
+    ])
+    def test_error_precedence(self, image, monkeypatch, failing, raised):
+        ref_q = _quantized(image)
+        ref_im = _planes(ref_q)[1]
+        calls = []
+
+        def fake_evaluate_real(metric_id, ref, dist, scratch=None, ref_scratch=None):
+            plane = "imag" if np.array_equal(ref, ref_im) else "real"
+            if plane == "imag":
+                time.sleep(0.2)     # the imaginary plane ends last
+            calls.append((plane, threading.current_thread() is threading.main_thread()))
+            if plane == "real" and "real" in failing:
+                raise DegenerateReference("real plane")
+            if plane == "imag" and "imag" in failing:
+                raise DimMismatch("imaginary plane")
+            return 1.0
+
+        monkeypatch.setattr(metrics, "evaluate_real", fake_evaluate_real)
+        threads = threading.active_count()
+        with pytest.raises(HoloQAError) as info:
+            score_components_avg("mse", ref_q, ref_q)
+        assert type(info.value) is raised
+        # both planes ran, the imaginary one on the worker, and it had ended
+        assert sorted(calls) == [("imag", False), ("real", True)]
+        assert threading.active_count() == threads     # the worker is gone
+
     def test_averages_plane_scores(self):
         from holoqa.field import HologramForm, WaveField, quantize_components
 

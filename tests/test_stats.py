@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.stats import rankdata
 
 from holoqa.errors import DegenerateRanks, StimulusMismatch
 from holoqa.stats import (
@@ -19,6 +20,7 @@ from holoqa.stats import (
     evaluate_metric,
     fit_logistic4,
     krcc,
+    midranks,
     outlier_ratio,
     pcc,
     rank_aggregate,
@@ -170,6 +172,40 @@ class TestCorrelations:
             srocc([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateRanks):
             pcc([1.0, 2.0], [1.0, 2.0])
+
+
+def _assert_rankdata_ranks(x):
+    got = midranks(x)
+    want = rankdata(x, method="average")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestMidranks:
+    """``midranks`` gives exactly the values of ``rankdata(method="average")``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_SCORES | st.sampled_from([np.nan, -0.0]) | st.floats(),
+                    min_size=1, max_size=40))
+    def test_equals_rankdata(self, values):
+        _assert_rankdata_ranks(np.array(values, dtype=np.float64))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 24, 147_456]), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 2, 7, 1000, None]),
+           st.sets(st.sampled_from([np.inf, -np.inf, np.nan])))
+    def test_equals_rankdata_at_metric_sizes(self, n, seed, levels, specials):
+        # 24 samples per display; 147,456 = 384^2 FFT magnitudes in SSRM
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) / 3.0
+        for v in specials:
+            x[rng.integers(0, n, 1 + n // 10)] = v
+        _assert_rankdata_ranks(x)
+        _assert_rankdata_ranks(-x)
+
+    def test_integer_and_empty_input(self):
+        _assert_rankdata_ranks(np.array([3, 1, 1, 2, 3, 3]))
+        _assert_rankdata_ranks(np.array([], dtype=np.float64))
 
 
 class TestLogisticFit:
