@@ -29,7 +29,15 @@ from .field import (
     load_quantized,
     store_field,
 )
-from .harness import TrackConfig, emit_report, load_manifest, run_track
+from .harness import (
+    TRACKS,
+    VIEWS,
+    TrackConfig,
+    emit_report,
+    load_manifest,
+    run_track,
+    view_aperture,
+)
 from .metrics import (
     COMPLEX_METRICS,
     MAP_METRICS,
@@ -48,6 +56,7 @@ from .transform import (
     reconstruct_view,
     store_gray_pgm,
     store_view,
+    view_clip_bound,
 )
 
 
@@ -65,20 +74,24 @@ def _load_any_field(base: str):
     return load_field(base)
 
 
-def _aperture_from_args(args, rows: int, cols: int) -> ApertureSpec | None:
-    if args.aperture is None:
-        return None
-    h, w = args.aperture
-    if args.view == "corner":
-        return ApertureSpec.right_corner(rows, cols, h, w)
-    return ApertureSpec.center(rows, cols, h, w)
+# argparse types: a ValueError is reported as "invalid <name> value" (exit 2)
+
+def percentile(text: str) -> float:
+    """``--clip-percentile``: a number in [0, 100]."""
+    value = float(text)
+    if not 0.0 <= value <= 100.0:
+        raise ValueError(text)
+    return value
 
 
-def _wiener_from_args(args) -> WienerParams:
-    nv = args.wiener_noise
-    if nv != AUTO:
-        nv = float(nv)
-    return WienerParams(args.wiener_window, args.wiener_window, nv)
+def noise_variance(text: str):
+    """``--wiener-noise``: 'auto' or a number >= 0."""
+    if text == AUTO:
+        return AUTO
+    value = float(text)
+    if not value >= 0.0:
+        raise ValueError(text)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -113,20 +126,22 @@ def _cmd_convert(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     field = _load_any_field(args.input)
-    ap = _aperture_from_args(args, field.rows, field.cols)
+    if args.aperture is None:
+        ap = ApertureSpec(0, 0, field.rows, field.cols)
+    else:
+        ap = view_aperture(args.view, field.rows, field.cols, args.aperture)
     amp = reconstruct_view(field, ap, args.focal_offset)
-    view, _ = clip_and_quantize_view(
-        amp, amp, args.clip_percentile, ap, args.focal_offset,
-        os.path.basename(args.input),
-    )
-    store_view(view, args.out)
+    bound = view_clip_bound(amp, args.clip_percentile)
+    store_view(clip_and_quantize_view(amp, bound), args.out, bound, ap,
+               args.focal_offset, os.path.basename(args.input))
     print(args.out)
     return 0
 
 
 def _cmd_denoise(args) -> int:
     pixels = load_gray_pgm(args.input).astype(np.float64)
-    out = wiener_denoise(pixels, _wiener_from_args(args))
+    out = wiener_denoise(pixels, WienerParams(args.wiener_window, args.wiener_window,
+                                              args.wiener_noise))
     store_gray_pgm(np.clip(np.round(out), 0, 255).astype(np.uint8), args.out)
     print(args.out)
     return 0
@@ -169,7 +184,7 @@ def _cmd_bench(args) -> int:
         _parse_metrics(args.metrics) if args.metrics is not None else (),
         args.upsample_m,
         args.clip_percentile,
-        _wiener_from_args(args),
+        WienerParams(args.wiener_window, args.wiener_window, args.wiener_noise),
     )
     report = run_track(manifest, mos, config)
     for path in emit_report(report, args.out, config):
@@ -207,18 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="render an 8-bit amplitude view")
     p.add_argument("--in", dest="input", required=True, help="input field base path")
     p.add_argument("--out", required=True, help="output PGM path")
-    p.add_argument("--view", choices=("center", "corner"), default="center")
+    p.add_argument("--view", choices=VIEWS, default="center")
     p.add_argument("--aperture", type=int, nargs=2, metavar=("H", "W"),
                    help="aperture window size (full field when omitted)")
     p.add_argument("--focal-offset", type=float, default=0.0)
-    p.add_argument("--clip-percentile", type=float, default=99.9)
+    p.add_argument("--clip-percentile", type=percentile, default=99.9)
     p.set_defaults(run=_cmd_reconstruct)
 
     p = sub.add_parser("denoise", help="adaptive Wiener despeckling of a view")
     p.add_argument("--in", dest="input", required=True, help="input PGM path")
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--wiener-window", type=int, default=5)
-    p.add_argument("--wiener-noise", default=AUTO,
+    p.add_argument("--wiener-noise", type=noise_variance, default=AUTO,
                    help="noise variance, or 'auto' (default)")
     p.set_defaults(run=_cmd_denoise)
 
@@ -235,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a full evaluation track")
     p.add_argument("--manifest", required=True, help="dataset manifest JSON")
     p.add_argument("--mos", required=True, help="MOS CSV file")
-    p.add_argument("--track", required=True, choices=("qa1", "qa2", "qa3", "qa4"))
+    p.add_argument("--track", required=True, choices=TRACKS)
     p.add_argument("--metrics", help="comma-separated metric ids (default: all valid)")
     p.add_argument("--out", required=True, help="report output directory")
     p.add_argument("--upsample-m", type=int, default=2)
-    p.add_argument("--clip-percentile", type=float, default=99.9)
+    p.add_argument("--clip-percentile", type=percentile, default=99.9)
     p.add_argument("--wiener-window", type=int, default=5)
-    p.add_argument("--wiener-noise", default=AUTO)
+    p.add_argument("--wiener-noise", type=noise_variance, default=AUTO)
     p.set_defaults(run=_cmd_bench)
 
     return parser

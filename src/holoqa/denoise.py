@@ -30,7 +30,7 @@ class WienerParams:
             raise InvalidField(
                 f"window dims must be odd and >= 3, got {self.window_h}x{self.window_w}"
             )
-        if self.noise_variance != AUTO and float(self.noise_variance) < 0:
+        if self.noise_variance != AUTO and not float(self.noise_variance) >= 0:
             raise InvalidField("noise_variance must be >= 0 or 'auto'")
 
 

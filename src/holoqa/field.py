@@ -273,8 +273,9 @@ def _check_keys(path: str, doc: dict, types: dict, where: str = "sidecar") -> No
 
 def _read_meta(base: str) -> dict:
     """The sidecar document of ``base``; raises CorruptInput on invalid JSON,
-    a non-object document or a missing or mistyped key (the two affine
-    records too for dtype u8), UnsupportedFormat on an unknown form."""
+    a non-object document, a missing or mistyped key (the two affine records
+    too for dtype u8) or ``rows`` or ``cols`` below 1, UnsupportedFormat on
+    an unknown form."""
     path = _meta_path(base)
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -284,6 +285,8 @@ def _read_meta(base: str) -> dict:
     if not isinstance(meta, dict):
         raise CorruptInput(f"{path}: sidecar is not a JSON object")
     _check_keys(path, meta, _META_TYPES)
+    if meta["rows"] < 1 or meta["cols"] < 1:
+        raise CorruptInput(f"{path}: grid is {meta['rows']}x{meta['cols']}")
     if "focus_offset" in meta:
         _check_keys(path, meta, {"focus_offset": _NUMBER})
     if meta["dtype"] == "u8":

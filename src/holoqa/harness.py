@@ -9,7 +9,7 @@ Tracks:
   form and then scores like qa1 (aperture windows scale with the upsampling
   factor);
 * qa3 scores 8-bit amplitude reconstructions of each view and focal plane,
-  clipped against the shared reference bound;
+  every version clipped against the reference's bound;
 * qa4 is qa3 with adaptive Wiener despeckling of both amplitudes before the
   clip, with AUTO noise variance resolved once per reference view (view and
   focal plane) and shared by every distorted version.
@@ -71,6 +71,7 @@ from .transform import (
     clip_and_quantize_view,
     fourier_to_fresnel,
     reconstruct_view,
+    view_clip_bound,
 )
 
 log = logging.getLogger(__name__)
@@ -106,7 +107,7 @@ class DatasetManifest:
 # required stimulus keys and their JSON types
 _STIMULUS_TYPES = {"id": str, "reference": str, "distorted": dict,
                    "aperture_size": list, "focal_offsets": list}
-_VIEWS = ("center", "corner")
+VIEWS = ("center", "corner")
 
 
 def _check_list(path: str, where: str, value, ok, size: int = 0) -> list:
@@ -124,9 +125,10 @@ def _is_number(v) -> bool:
 
 def load_manifest(path: str) -> DatasetManifest:
     """Read a dataset manifest; raises CorruptInput on invalid JSON, on a
-    missing or mistyped key, and unless ``rating_scale`` is two finite numbers
-    lo < hi, ``aperture_size`` two positive ints, ``focal_offsets`` a
-    non-empty list of finite numbers and ``views`` a list of known views."""
+    missing or mistyped key, on a stimulus id listed twice, and unless
+    ``rating_scale`` is two finite numbers lo < hi, ``aperture_size`` two
+    positive ints, ``focal_offsets`` a non-empty list of finite numbers and
+    ``views`` a list of known views."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -135,15 +137,17 @@ def load_manifest(path: str) -> DatasetManifest:
     if not isinstance(doc, dict):
         raise CorruptInput(f"{path}: manifest is not a JSON object")
     _check_keys(path, doc, {"stimuli": list}, "manifest")
-    stimuli = []
+    stimuli = {}
     for i, s in enumerate(doc["stimuli"]):
         if not isinstance(s, dict):
             raise CorruptInput(f"{path}: stimulus #{i} is not a JSON object")
         where = f"stimulus {s.get('id', f'#{i}')!r}"
         _check_keys(path, s, _STIMULUS_TYPES, where)
+        if s["id"] in stimuli:
+            raise CorruptInput(f"{path}: {where} is listed twice")
         _check_keys(path, s["distorted"], dict.fromkeys(s["distorted"], str),
                     f"{where} distorted")
-        stimuli.append(StimulusEntry(
+        stimuli[s["id"]] = StimulusEntry(
             s["id"],
             s["reference"],
             dict(s["distorted"]),
@@ -151,14 +155,14 @@ def load_manifest(path: str) -> DatasetManifest:
                               lambda v: _of_type(v, int) and v > 0, 2)),
             tuple(float(v) for v in _check_list(
                 path, f"{where} focal_offsets", s["focal_offsets"], _is_number)),
-        ))
+        )
     lo, hi = _check_list(path, "rating_scale", doc.get("rating_scale", [1.0, 5.0]),
                          _is_number, 2)
     if not lo < hi:
         raise CorruptInput(f"{path}: rating_scale [{lo}, {hi}] is not increasing")
-    views = _check_list(path, "views", doc.get("views", ["center"]), _VIEWS.__contains__)
+    views = _check_list(path, "views", doc.get("views", ["center"]), VIEWS.__contains__)
     return DatasetManifest(os.path.dirname(os.path.abspath(path)),
-                           (float(lo), float(hi)), tuple(views), tuple(stimuli))
+                           (float(lo), float(hi)), tuple(views), tuple(stimuli.values()))
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,9 @@ class EvalReport:
     raw_scores: tuple       # ScoreRecord, manifest order
 
 
-def _view_aperture(view: str, rows: int, cols: int, size) -> ApertureSpec:
+def view_aperture(view: str, rows: int, cols: int, size) -> ApertureSpec:
+    """The ``size`` = (height, width) window of ``view`` in a rows x cols
+    field: centered, or flush with the bottom-right corner."""
     h, w = size
     if view == "center":
         return ApertureSpec.center(rows, cols, h, w)
@@ -258,7 +264,7 @@ def _field_scores(config: TrackConfig, manifest: DatasetManifest,
     ap_size = (entry.aperture_size[0] * m, entry.aperture_size[1] * m)
     for view in manifest.views:
         ref_scratch = ({}, {}, {})
-        ap = _view_aperture(view, ref_q.rows, ref_q.cols, ap_size)
+        ap = view_aperture(view, ref_q.rows, ref_q.cols, ap_size)
         ref_crop = extract_aperture_quantized(ref_q, ap)
         for tag, dist_q in dists.items():
             dist_crop = extract_aperture_quantized(dist_q, ap)
@@ -270,31 +276,27 @@ def _view_scores(config: TrackConfig, manifest: DatasetManifest,
                  entry: StimulusEntry, metric_ids):
     """View-domain samples (tag, view, focal_index, scores), one reference
     render at a time: each (view, focal) of the reference is reconstructed,
-    its AUTO noise resolved and despeckled (qa4) once, and every distorted
-    version is scored against it."""
+    its AUTO noise resolved and despeckled (qa4), its clip bound taken and
+    its codes quantized once, and every distorted version is quantized with
+    that bound and scored against it."""
     ref = dequantize_components(manifest.load_reference(entry))
     dists = {tag: dequantize_components(manifest.load_distorted(entry, tag))
              for tag in entry.distorted}
     for view in manifest.views:
-        ap = _view_aperture(view, ref.rows, ref.cols, entry.aperture_size)
+        ap = view_aperture(view, ref.rows, ref.cols, entry.aperture_size)
         for fi, offset in enumerate(entry.focal_offsets):
             ref_scratch = {}
             ref_amp = reconstruct_view(ref, ap, offset)
             if config.track == "qa4":
                 wp = resolve_params(ref_amp, config.wiener)
                 ref_amp = wiener_denoise(ref_amp, wp)
+            bound = view_clip_bound(ref_amp, config.clip_percentile)
+            ref_px = clip_and_quantize_view(ref_amp, bound).astype(np.float64)
             for tag, dist in dists.items():
                 dist_amp = reconstruct_view(dist, ap, offset)
                 if config.track == "qa4":
                     dist_amp = wiener_denoise(dist_amp, wp)
-                ref_view, dist_view = clip_and_quantize_view(
-                    ref_amp, dist_amp, config.clip_percentile, ap, offset,
-                    f"{entry.stimulus_id}:{tag}",
-                )
-                # the reference's codes depend on ref_amp alone, so every
-                # version meets the same reference view and ref_scratch
-                ref_px = ref_view.pixels.astype(np.float64)
-                dist_px = dist_view.pixels.astype(np.float64)
+                dist_px = clip_and_quantize_view(dist_amp, bound).astype(np.float64)
                 scratch = {}
                 yield tag, view, fi, {
                     mid: evaluate_real(mid, ref_px, dist_px, scratch=scratch,
@@ -379,8 +381,7 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
             except DegenerateRanks as exc:
                 log.warning("metric %s degenerate on display %s: %s",
                             mid, display.value, exc)
-                nan = float("nan")
-                rows.append(CriteriaRow(mid, nan, nan, nan, nan, nan, nan))
+                rows.append(CriteriaRow(mid, *[float("nan")] * 9))
         criteria[display] = rows
         if residual_sets:
             significance[display] = significance_matrix(residual_sets)

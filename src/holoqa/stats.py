@@ -305,9 +305,9 @@ class CriteriaRow:
     pcc_fitted: float
     rmse: float
     outlier_ratio: float
-    srocc_signed: float = 0.0
-    krcc_signed: float = 0.0
-    pcc_nofit_signed: float = 0.0
+    srocc_signed: float
+    krcc_signed: float
+    pcc_nofit_signed: float
 
 CRITERIA = ("srocc", "krcc", "pcc_nofit", "pcc_fitted", "rmse", "outlier_ratio")
 # criteria where smaller values indicate better prediction

@@ -46,24 +46,6 @@ class ConversionPlan:
     wavelength: float
 
 
-@dataclass(frozen=True)
-class ViewImage:
-    """8-bit amplitude rendering of a reconstructed view."""
-
-    pixels: np.ndarray          # uint8
-    clip_bound: float
-    aperture: ApertureSpec
-    focal_distance: float
-    source_id: str = ""
-
-    def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
-        if self.clip_bound <= 0:
-            raise DegenerateAmplitude(f"clip_bound must be > 0, got {self.clip_bound}")
-
-
 def _check_factor(m) -> int:
     if not float(m).is_integer() or int(m) < 2:
         raise InvalidFactor(f"upsampling factor must be an integer >= 2, got {m}")
@@ -172,15 +154,14 @@ def refocus_kernel(rows: int, cols: int, pitch: float, wavelength: float,
                    focal_offset: float, z_nominal: float) -> np.ndarray:
     """Quadratic-phase refocus kernel Q(delta) in the hologram plane.
 
-    Q == 1 for delta = 0; otherwise the effective curvature distance is
-    d_eff = z_nominal^2 / delta (paraxial focal shift of delta around the
-    nominal plane).
+    Q == 1 for delta = 0; otherwise Q = K(-d_eff), the parabolic kernel at
+    the effective curvature distance d_eff = z_nominal^2 / delta (paraxial
+    focal shift of delta around the nominal plane).
     """
     if focal_offset == 0.0:
         return np.ones((rows, cols), dtype=np.complex128)
-    d_eff = z_nominal * z_nominal / focal_offset
-    y, x = _grid_coordinates(rows, cols, pitch)
-    return np.exp(-1j * np.pi * (x * x + y * y) / (wavelength * d_eff))
+    return parabolic_kernel(rows, cols, pitch, wavelength,
+                            -z_nominal * z_nominal / focal_offset)
 
 
 def reconstruct_view(f: WaveField, ap: ApertureSpec | None = None,
@@ -201,53 +182,41 @@ def reconstruct_view(f: WaveField, ap: ApertureSpec | None = None,
     return np.abs(spectrum)
 
 
-def clip_and_quantize_view(
-    ref_amp: np.ndarray,
-    dist_amp: np.ndarray,
-    clip_percentile: float = 99.9,
-    aperture: ApertureSpec | None = None,
-    focal_distance: float = 0.0,
-    source_id: str = "",
-) -> tuple[ViewImage, ViewImage]:
-    """Clip both amplitudes against the reference percentile bound and map to
-    8 bits with the shared bound, so the pair stays comparable."""
-    ref_amp = np.asarray(ref_amp, dtype=np.float64)
-    dist_amp = np.asarray(dist_amp, dtype=np.float64)
-    if ref_amp.shape != dist_amp.shape:
-        raise DegenerateAmplitude(
-            f"amplitude shapes differ: {ref_amp.shape} vs {dist_amp.shape}"
-        )
+def view_clip_bound(ref_amp: np.ndarray, clip_percentile: float) -> float:
+    """The clip bound every version of a view is quantized against: the
+    ``clip_percentile`` percentile of the reference amplitude. Raises
+    DegenerateAmplitude unless it is > 0."""
     bound = float(np.percentile(ref_amp, clip_percentile))
-    if bound <= 0:
+    if not bound > 0:
         raise DegenerateAmplitude("reference amplitude has a non-positive clip bound")
-    if aperture is None:
-        aperture = ApertureSpec(0, 0, ref_amp.shape[0], ref_amp.shape[1])
+    return bound
 
-    def _encode(a):
-        codes = np.round(255.0 * np.clip(a, 0.0, bound) / bound)
-        return ViewImage(codes.astype(np.uint8), bound, aperture, focal_distance, source_id)
 
-    return _encode(ref_amp), _encode(dist_amp)
+def clip_and_quantize_view(amp: np.ndarray, bound: float) -> np.ndarray:
+    """Clip an amplitude to [0, bound] and map it to 8 bits, so every version
+    quantized with its reference's bound stays comparable."""
+    return np.round(255.0 * np.clip(amp, 0.0, bound) / bound).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
 # PGM persistence for rendered views
 
-def store_view(view: ViewImage, path: str) -> None:
+def store_view(pixels: np.ndarray, path: str, clip_bound: float, aperture: ApertureSpec,
+               focal_distance: float, source_id: str) -> None:
     """Write a binary P5 PGM plus a JSON sidecar with the view metadata."""
     import json
 
-    store_gray_pgm(view.pixels, path)
+    store_gray_pgm(pixels, path)
     meta = {
-        "clip_bound": view.clip_bound,
-        "focal_distance": view.focal_distance,
-        "source_id": view.source_id,
+        "clip_bound": clip_bound,
+        "focal_distance": focal_distance,
+        "source_id": source_id,
         "aperture": {
-            "row_offset": view.aperture.row_offset,
-            "col_offset": view.aperture.col_offset,
-            "height": view.aperture.height,
-            "width": view.aperture.width,
-            "label": view.aperture.label.value,
+            "row_offset": aperture.row_offset,
+            "col_offset": aperture.col_offset,
+            "height": aperture.height,
+            "width": aperture.width,
+            "label": aperture.label.value,
         },
     }
     with open(path + ".json", "w", encoding="utf-8") as fh:
@@ -284,6 +253,8 @@ def load_gray_pgm(path: str) -> np.ndarray:
     if not (fields[1].isdigit() and fields[2].isdigit()):
         raise UnsupportedFormat(f"{path}: PGM dimensions are not integers")
     cols, rows = int(fields[1]), int(fields[2])
+    if rows == 0 or cols == 0:
+        raise CorruptInput(f"{path}: PGM header declares an empty {cols}x{rows} image")
     pixels = raw[pos + 1 :]
     if len(pixels) < rows * cols:
         raise CorruptInput(

@@ -203,7 +203,7 @@ def test_criterion_08_rank_aggregation_checksum():
         rows = []
         for i in range(n):
             v = [float(rng.uniform()) for _ in range(6)]
-            rows.append(CriteriaRow(f"m{i}", *v))
+            rows.append(CriteriaRow(f"m{i}", *v, *v[:3]))  # signed = absolute
         tables.append(rows)
     # per criterion row: scores sum to n(n+1)/2
     for table in tables:

@@ -72,6 +72,8 @@ class TestWienerParams:
     def test_rejects_negative_noise(self):
         with pytest.raises(InvalidField):
             WienerParams(5, 5, -1.0)
+        with pytest.raises(InvalidField):
+            WienerParams(5, 5, float("nan"))
 
     def test_resolve_auto_uses_reference(self):
         rng = np.random.default_rng(3)

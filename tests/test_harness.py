@@ -12,11 +12,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import holoqa
 from holoqa import harness
 from holoqa.cli import main
-from holoqa.errors import NoOverlap, UnknownMetric
+from holoqa.errors import DegenerateAmplitude, DegenerateRanks, NoOverlap, UnknownMetric
 from holoqa.harness import (
     TrackConfig,
     emit_report,
@@ -124,6 +125,21 @@ class TestRunTrack:
         got = next(r for r in report.criteria[Display.OPT] if r.metric_id == "mse")
         assert row == got
 
+    def test_degenerate_metric_row_is_all_nan(self, demo_dataset, tmp_path, monkeypatch):
+        def degenerate(*args):
+            raise DegenerateRanks("constant scores")
+        monkeypatch.setattr(harness, "evaluate_metric", degenerate)
+        manifest = load_manifest(demo_dataset["manifest"])
+        config = TrackConfig("qa1", metrics=("mse",))
+        report = run_track(manifest, read_mos_csv(demo_dataset["mos"]), config)
+        emit_report(report, str(tmp_path), config)
+        for display in Display:
+            with open(tmp_path / f"qa1_{display.value}_criteria.csv") as fh:
+                (row,) = csv.DictReader(fh)
+            assert row.pop("metric") == "mse"
+            assert len(row) == 9
+            assert set(row.values()) == {"nan"}
+
 
 @pytest.fixture(scope="module")
 def dots_dataset(tmp_path_factory):
@@ -175,6 +191,19 @@ class TestReferenceFirst:
             (f"{entry.stimulus_id}:{tag}", view, fi)
             for tag in entry.distorted for view in manifest.views
             for fi in range(len(entry.focal_offsets))]
+
+    def test_dark_reference_raises_before_any_version_renders(self, dots_dataset,
+                                                              monkeypatch):
+        manifest, mos = dots_dataset
+        renders = []
+
+        def dark(f, ap, offset):
+            renders.append(f)
+            return np.zeros((ap.height, ap.width))
+        monkeypatch.setattr(harness, "reconstruct_view", dark)
+        with pytest.raises(DegenerateAmplitude):
+            run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
+        assert len(renders) == 1
 
 
 class TestEmitReport:
@@ -333,6 +362,8 @@ BAD_INPUTS = {
     "manifest-aperture-text": _bad_manifest(_set_stimulus("aperture_size", ["a", 2])),
     "manifest-focal-text": _bad_manifest(_set_stimulus("focal_offsets", ["x"])),
     "manifest-focal-empty": _bad_manifest(_set_stimulus("focal_offsets", [])),
+    "manifest-duplicate-id": _bad_manifest(_edit_json(
+        lambda doc: doc["stimuli"].append(doc["stimuli"][0]))),
 }
 
 
@@ -346,7 +377,11 @@ BAD_SIDECARS = {
     "pitch-not-number": _edit_json(lambda doc: doc.update(pixel_pitch=None)),
     "pitch-nan": _edit_json(lambda doc: doc.update(pixel_pitch=float("nan"))),
     "affine-not-object": _edit_json(lambda doc: doc.update(imag_affine=3)),
+    "grid-negative": _edit_json(lambda doc: doc.update(rows=-1, cols=-1)),
+    "grid-empty": _edit_json(lambda doc: doc.update(rows=0, cols=0)),
 }
+# planes that hold exactly the samples such a sidecar declares
+_SIDECAR_PLANES = {"grid-negative": b"\x00", "grid-empty": b""}
 
 _PLAN = {"m": 2, "z": 0.1, "source_rows": 256, "source_cols": 256,
          "target_rows": 512, "target_cols": 512, "target_pitch": 4e-6,
@@ -444,7 +479,9 @@ class TestCli:
     @pytest.mark.parametrize("content", [
         b"P5\n16 16\n255\n" + bytes(range(40 - 13)),   # 40-byte cut of 16x16
         b"P5\nsixteen 16\n255\n" + bytes(256),
-    ], ids=["truncated", "bad-dims"])
+        b"P5\n0 0\n255\n",
+        b"P5\n5 0\n255\n",
+    ], ids=["truncated", "bad-dims", "empty", "no-rows"])
     def test_denoise_bad_pgm_exit_1(self, tmp_path, content):
         bad = tmp_path / "bad.pgm"
         bad.write_bytes(content)
@@ -452,6 +489,39 @@ class TestCli:
         assert out.returncode == 1
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("error: ")
+
+    def test_score_empty_pgm_exit_1(self, tmp_path):
+        bad = tmp_path / "empty.pgm"
+        bad.write_bytes(b"P5\n0 0\n255\n")
+        out = _cli("score", "--ref", str(bad), "--dist", str(bad), "--metrics", "mse,psnr")
+        assert out.returncode == 1
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: ")
+        assert out.stdout == ""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_score_fuzzed_pgm_exits_1_or_scores(self, tmp_path_factory, data):
+        dim = st.one_of(st.integers(0, 4).map(str),
+                        st.sampled_from(["-1", "-3", "x", "2.5", "+2", "\uff12"]))
+        tokens = [data.draw(st.sampled_from(["P5", "P5", "P2", "p5"])),
+                  data.draw(dim), data.draw(dim),
+                  data.draw(st.sampled_from(["255", "255", "0", "1", "65535", "-255", "max"]))]
+        seps = st.sampled_from([" ", "\n", "\t ", "\n# comment\n", " #c 7\n"])
+        header = tokens[0] + "".join(data.draw(seps) + t for t in tokens[1:]) + "\n"
+        declared = (int(tokens[1]) * int(tokens[2])
+                    if tokens[1].isdigit() and tokens[2].isdigit() else 4)
+        size = max(0, declared + data.draw(st.integers(-2, 2)))
+        body = data.draw(st.binary(min_size=size, max_size=size))
+        path = tmp_path_factory.getbasetemp() / "fuzzed.pgm"
+        path.write_bytes(header.encode() + body)
+        out = _cli("score", "--ref", str(path), "--dist", str(path), "--metrics", "mse,psnr")
+        if out.returncode == 1:
+            assert len(out.stderr.splitlines()) == 1
+            assert out.stderr.startswith("error: ")
+        else:
+            assert out.returncode == 0, out.stderr
+            assert "nan" not in out.stdout.lower()
 
     def test_bench_relocated_manifest_exit_0(self, demo_dataset, tmp_path):
         # the unedited case maker output is valid: each bad input fails on its edit
@@ -479,12 +549,16 @@ class TestCli:
         assert out.stderr.startswith("error: ") and "'mse'" in out.stderr
         assert not os.path.exists(tmp_path / "rep")
 
-    @pytest.mark.parametrize("edit", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
-    def test_reconstruct_bad_sidecar_exit_1(self, demo_dataset, tmp_path, edit):
+    @pytest.mark.parametrize("name,edit", BAD_SIDECARS.items(), ids=BAD_SIDECARS.keys())
+    def test_reconstruct_bad_sidecar_exit_1(self, demo_dataset, tmp_path, name, edit):
         src = os.path.join(demo_dataset["root"], "fields", "dots_ref")
         base = str(tmp_path / "dots_ref")
         for ext in (".re.u8", ".im.u8"):
-            shutil.copy(src + ext, base + ext)
+            if name in _SIDECAR_PLANES:
+                with open(base + ext, "wb") as fh:
+                    fh.write(_SIDECAR_PLANES[name])
+            else:
+                shutil.copy(src + ext, base + ext)
         with open(src + ".meta.json", encoding="utf-8") as fh:
             text = fh.read()
         with open(base + ".meta.json", "w", encoding="utf-8") as fh:
@@ -493,6 +567,33 @@ class TestCli:
         assert out.returncode == 1
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("denoise", "--wiener-noise", "abc"),
+        ("denoise", "--wiener-noise", "nan"),
+        ("denoise", "--wiener-noise", "-1"),
+        ("bench", "--wiener-noise", "nan"),
+        ("reconstruct", "--clip-percentile", "150"),
+        ("reconstruct", "--clip-percentile", "nan"),
+        ("bench", "--clip-percentile", "-0.5"),
+        ("bench", "--clip-percentile", "abc"),
+    ], ids=["denoise-noise-text", "denoise-noise-nan", "denoise-noise-negative",
+            "bench-noise-nan", "reconstruct-percentile-150", "reconstruct-percentile-nan",
+            "bench-percentile-negative", "bench-percentile-text"])
+    def test_bad_flag_value_exit_2(self, demo_dataset, tmp_path, command, flag, value):
+        target = tmp_path / "out"
+        args = {
+            "denoise": ("--in", str(tmp_path / "absent.pgm"), "--out", str(target)),
+            "reconstruct": ("--in", os.path.join(demo_dataset["root"], "fields", "dots_ref"),
+                            "--out", str(target)),
+            "bench": ("--manifest", demo_dataset["manifest"], "--mos", demo_dataset["mos"],
+                      "--track", "qa4", "--out", str(target)),
+        }[command]
+        out = _cli(command, *args, flag, value)
+        assert out.returncode == 2
+        assert f"argument {flag}: invalid" in out.stderr and repr(value) in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not target.exists()
 
     def test_convert_inverse_without_plan_exit_2(self, demo_dataset, tmp_path):
         base = os.path.join(demo_dataset["root"], "fields", "ring_ref")

@@ -389,7 +389,7 @@ class TestRankAggregation:
     def _table(values_by_metric):
         rows = []
         for mid, v in values_by_metric.items():
-            rows.append(CriteriaRow(mid, v, v, v, v, 1.0 - v, 1.0 - v))
+            rows.append(CriteriaRow(mid, v, v, v, v, 1.0 - v, 1.0 - v, v, v, v))
         return rows
 
     def test_single_criterion_ordering(self):

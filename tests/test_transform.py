@@ -25,6 +25,7 @@ from holoqa.transform import (
     store_gray_pgm,
     store_view,
     upsample_grid,
+    view_clip_bound,
 )
 
 
@@ -145,6 +146,19 @@ class TestReconstruction:
         q = refocus_kernel(16, 16, 8e-6, 640e-9, 0.0, 0.1)
         assert np.array_equal(q, np.ones((16, 16), dtype=complex))
 
+    def test_refocus_is_parabolic_kernel_at_effective_distance(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            rows, cols = rng.integers(1, 40, 2)
+            pitch, wavelength = rng.uniform(1e-6, 1e-5), rng.uniform(4e-7, 7e-7)
+            z_nom, offset = rng.uniform(0.01, 0.5), rng.uniform(-0.05, 0.05)
+            y = (np.arange(rows) - rows // 2)[:, None] * pitch
+            x = (np.arange(cols) - cols // 2)[None, :] * pitch
+            d_eff = z_nom * z_nom / offset
+            expected = np.exp(-1j * np.pi * (x * x + y * y) / (wavelength * d_eff))
+            q = refocus_kernel(rows, cols, pitch, wavelength, offset, z_nom)
+            assert np.array_equal(q, expected)
+
     def test_refocus_blurs_nominal_point(self):
         f = WaveField(np.ones((64, 64), dtype=complex), 8e-6, 640e-9,
                       HologramForm.FOURIER)
@@ -169,29 +183,27 @@ class TestClipQuantize:
         rng = np.random.default_rng(10)
         ref = rng.uniform(0, 100, (50, 50))
         dist = rng.uniform(0, 200, (50, 50))
-        rv, dv = clip_and_quantize_view(ref, dist, 99.9)
-        assert rv.clip_bound == dv.clip_bound
-        assert rv.clip_bound == pytest.approx(np.percentile(ref, 99.9))
+        bound = view_clip_bound(ref, 99.9)
+        assert bound == pytest.approx(np.percentile(ref, 99.9))
+        assert clip_and_quantize_view(ref, bound).max() == 255
+        assert np.all(clip_and_quantize_view(dist, bound)[dist >= bound] == 255)
 
     def test_zero_maps_to_zero_and_bound_to_255(self):
         ref = np.linspace(0.0, 10.0, 256).reshape(16, 16)
-        rv, _ = clip_and_quantize_view(ref, ref, 100.0)
-        assert rv.pixels.min() == 0
-        assert rv.pixels.max() == 255
+        px = clip_and_quantize_view(ref, view_clip_bound(ref, 100.0))
+        assert px.dtype == np.uint8
+        assert px.min() == 0
+        assert px.max() == 255
 
     def test_over_bound_clipped(self):
         ref = np.ones((20, 20))
         dist = np.full((20, 20), 50.0)
-        _, dv = clip_and_quantize_view(ref, dist, 100.0)
-        assert np.all(dv.pixels == 255)
+        px = clip_and_quantize_view(dist, view_clip_bound(ref, 100.0))
+        assert np.all(px == 255)
 
     def test_zero_reference_rejected(self):
         with pytest.raises(DegenerateAmplitude):
-            clip_and_quantize_view(np.zeros((8, 8)), np.ones((8, 8)))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DegenerateAmplitude):
-            clip_and_quantize_view(np.ones((8, 8)), np.ones((8, 9)))
+            view_clip_bound(np.zeros((8, 8)), 99.9)
 
 
 class TestViewIO:
@@ -204,12 +216,13 @@ class TestViewIO:
 
     def test_store_view_writes_sidecar(self, tmp_path):
         ref = np.linspace(0.0, 10.0, 64).reshape(8, 8)
-        rv, _ = clip_and_quantize_view(ref, ref, 100.0, source_id="demo")
+        bound = view_clip_bound(ref, 100.0)
+        px = clip_and_quantize_view(ref, bound)
         path = str(tmp_path / "view.pgm")
-        store_view(rv, path)
-        assert np.array_equal(load_gray_pgm(path), rv.pixels)
+        store_view(px, path, bound, ApertureSpec(0, 0, 8, 8), 0.0, "demo")
+        assert np.array_equal(load_gray_pgm(path), px)
         import json
 
         meta = json.loads((tmp_path / "view.pgm.json").read_text())
         assert meta["source_id"] == "demo"
-        assert meta["clip_bound"] == rv.clip_bound
+        assert meta["clip_bound"] == bound
