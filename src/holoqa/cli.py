@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 runtime failure (bad data, degenerate inputs),
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import os
 import sys
 
@@ -20,15 +20,8 @@ import numpy as np
 
 from . import __version__
 from .denoise import AUTO, WienerParams, wiener_denoise
-from .errors import CorruptInput, HoloQAError, UnknownMetric
-from .field import (
-    ApertureSpec,
-    _read_meta,
-    dequantize_components,
-    load_field,
-    load_quantized,
-    store_field,
-)
+from .errors import HoloQAError, UnknownMetric
+from .field import ApertureSpec, load_any_field, store_field, write_json
 from .harness import (
     TRACKS,
     VIEWS,
@@ -48,11 +41,11 @@ from .metrics import (
 from .stats import read_mos_csv
 from .synth import generate_demo_dataset
 from .transform import (
-    ConversionPlan,
     clip_and_quantize_view,
     fourier_to_fresnel,
     fresnel_to_fourier,
     load_gray_pgm,
+    read_plan,
     reconstruct_view,
     store_gray_pgm,
     store_view,
@@ -67,19 +60,20 @@ def _parse_metrics(value: str) -> tuple:
     return ids
 
 
-def _load_any_field(base: str):
-    """Load a field base as float32 or quantized, whichever the sidecar says."""
-    if _read_meta(base)["dtype"] == "u8":
-        return dequantize_components(load_quantized(base))
-    return load_field(base)
-
-
 # argparse types: a ValueError is reported as "invalid <name> value" (exit 2)
 
 def percentile(text: str) -> float:
     """``--clip-percentile``: a number in [0, 100]."""
     value = float(text)
     if not 0.0 <= value <= 100.0:
+        raise ValueError(text)
+    return value
+
+
+def finite(text: str) -> float:
+    """``--focal-offset``: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
         raise ValueError(text)
     return value
 
@@ -106,26 +100,19 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    field = _load_any_field(args.input)
+    field = load_any_field(args.input)
     if args.inverse:
-        with open(args.plan, "r", encoding="utf-8") as fh:
-            try:
-                plan = ConversionPlan(**json.load(fh))
-            except (ValueError, TypeError) as exc:
-                raise CorruptInput(f"{args.plan}: invalid conversion plan: {exc}") from None
-        out = fresnel_to_fourier(field, plan)
-        store_field(out, args.out)
+        store_field(fresnel_to_fourier(field, read_plan(args.plan)), args.out)
     else:
         out, plan = fourier_to_fresnel(field, args.upsample_m)
         store_field(out, args.out)
-        with open(args.out + ".plan.json", "w", encoding="utf-8") as fh:
-            json.dump(plan.__dict__, fh, indent=1, sort_keys=True)
+        write_json(args.out + ".plan.json", plan.__dict__)
     print(args.out)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    field = _load_any_field(args.input)
+    field = load_any_field(args.input)
     if args.aperture is None:
         ap = ApertureSpec(0, 0, field.rows, field.cols)
     else:
@@ -151,8 +138,8 @@ def _cmd_score(args) -> int:
     metric_ids = _parse_metrics(args.metrics)
     field_mode = os.path.exists(args.ref + ".meta.json")
     if field_mode:
-        ref = _load_any_field(args.ref).data
-        dist = _load_any_field(args.dist).data
+        ref = load_any_field(args.ref).data
+        dist = load_any_field(args.dist).data
     else:
         ref = load_gray_pgm(args.ref).astype(np.float64)
         dist = load_gray_pgm(args.dist).astype(np.float64)
@@ -225,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--view", choices=VIEWS, default="center")
     p.add_argument("--aperture", type=int, nargs=2, metavar=("H", "W"),
                    help="aperture window size (full field when omitted)")
-    p.add_argument("--focal-offset", type=float, default=0.0)
+    p.add_argument("--focal-offset", type=finite, default=0.0)
     p.add_argument("--clip-percentile", type=percentile, default=99.9)
     p.set_defaults(run=_cmd_reconstruct)
 

@@ -30,8 +30,9 @@ class WienerParams:
             raise InvalidField(
                 f"window dims must be odd and >= 3, got {self.window_h}x{self.window_w}"
             )
-        if self.noise_variance != AUTO and not float(self.noise_variance) >= 0:
-            raise InvalidField("noise_variance must be >= 0 or 'auto'")
+        nv = self.noise_variance
+        if nv != AUTO and not (isinstance(nv, (int, float)) and nv >= 0):
+            raise InvalidField(f"noise_variance must be >= 0 or 'auto', got {nv!r}")
 
 
 def local_moments(img, window_h, window_w):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field as _field
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -224,27 +224,56 @@ def extract_aperture_quantized(q: QuantizedField, ap: ApertureSpec) -> Quantized
 # file I/O
 
 _FORM_TAGS = {f.value: f for f in HologramForm}
+# sidecar dtype -> NumPy dtype of its two plane files
+_PLANE_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype(np.uint8)}
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as every holoqa JSON document is written: one-space
+    indent, sorted keys, so re-runs are byte-identical."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+
+
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``; raises CorruptInput on invalid JSON or
+    on a document that is not an object (``what`` names the document)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise CorruptInput(f"{path}: invalid {what} JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CorruptInput(f"{path}: {what} is not a JSON object")
+    return doc
 
 
 def _meta_path(base: str) -> str:
     return base + ".meta.json"
 
 
+def _store(base: str, dtype: str, re: np.ndarray, im: np.ndarray, f, **extra) -> None:
+    """Write the planes ``<base>.re.<dtype>``, ``<base>.im.<dtype>`` and the
+    sidecar ``<base>.meta.json`` with the grid and optics of ``f`` (a
+    WaveField or QuantizedField) plus the keys ``extra``."""
+    re.tofile(f"{base}.re.{dtype}")
+    im.tofile(f"{base}.im.{dtype}")
+    write_json(_meta_path(base), {
+        "rows": f.rows, "cols": f.cols, "dtype": dtype,
+        "pixel_pitch": f.pixel_pitch, "wavelength": f.wavelength,
+        "form": f.form.value, "focus_offset": f.focus_offset, **extra,
+    })
+
+
 def store_field(f: WaveField, base: str) -> None:
     """Write ``<base>.re.f32``, ``<base>.im.f32`` and ``<base>.meta.json``."""
-    f.data.real.astype("<f4").tofile(base + ".re.f32")
-    f.data.imag.astype("<f4").tofile(base + ".im.f32")
-    meta = {
-        "rows": f.rows,
-        "cols": f.cols,
-        "dtype": "f32",
-        "pixel_pitch": f.pixel_pitch,
-        "wavelength": f.wavelength,
-        "form": f.form.value,
-        "focus_offset": f.focus_offset,
-    }
-    with open(_meta_path(base), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    _store(base, "f32", f.data.real.astype("<f4"), f.data.imag.astype("<f4"), f)
+
+
+def store_quantized(q: QuantizedField, base: str) -> None:
+    """Write ``<base>.re.u8``, ``<base>.im.u8`` and ``<base>.meta.json``."""
+    _store(base, "u8", q.real_plane, q.imag_plane, q,
+           real_affine=asdict(q.real_affine), imag_affine=asdict(q.imag_affine))
 
 
 _NUMBER = (int, float)
@@ -277,13 +306,7 @@ def _read_meta(base: str) -> dict:
     too for dtype u8) or ``rows`` or ``cols`` below 1, UnsupportedFormat on
     an unknown form."""
     path = _meta_path(base)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:
-            raise CorruptInput(f"{path}: invalid sidecar JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CorruptInput(f"{path}: sidecar is not a JSON object")
+    meta = read_json_object(path, "sidecar")
     _check_keys(path, meta, _META_TYPES)
     if meta["rows"] < 1 or meta["cols"] < 1:
         raise CorruptInput(f"{path}: grid is {meta['rows']}x{meta['cols']}")
@@ -298,70 +321,49 @@ def _read_meta(base: str) -> dict:
     return meta
 
 
-def _read_plane(path: str, dtype: str, rows: int, cols: int) -> np.ndarray:
-    if dtype == "f32":
-        arr = np.fromfile(path, dtype="<f4")
-    elif dtype == "u8":
-        arr = np.fromfile(path, dtype=np.uint8)
-    else:
-        raise UnsupportedFormat(f"unknown dtype {dtype!r}")
-    if arr.size != rows * cols:
-        raise CorruptInput(
-            f"{path}: expected {rows * cols} samples, file holds {arr.size}"
-        )
-    return arr.reshape(rows, cols)
+def _load(base: str, dtype: str):
+    """The sidecar of ``base`` and its two planes as stored, (meta, re, im);
+    raises UnsupportedFormat unless the sidecar's dtype is ``dtype`` and
+    CorruptInput unless each plane file holds rows x cols samples."""
+    meta = _read_meta(base)
+    if meta["dtype"] != dtype:
+        raise UnsupportedFormat(f"expected dtype {dtype}, got {meta['dtype']!r}")
+    rows, cols = meta["rows"], meta["cols"]
+    planes = []
+    for part in ("re", "im"):
+        path = f"{base}.{part}.{dtype}"
+        arr = np.fromfile(path, dtype=_PLANE_DTYPES[dtype])
+        if arr.size != rows * cols:
+            raise CorruptInput(
+                f"{path}: expected {rows * cols} samples, file holds {arr.size}"
+            )
+        planes.append(arr.reshape(rows, cols))
+    return meta, *planes
+
+
+def _optics(meta: dict) -> tuple:
+    """(pixel_pitch, wavelength, form, focus_offset) of a checked sidecar."""
+    return (float(meta["pixel_pitch"]), float(meta["wavelength"]),
+            _FORM_TAGS[meta["form"]], float(meta.get("focus_offset", 0.0)))
 
 
 def load_field(base: str) -> WaveField:
     """Load a float32 field pair written by :func:`store_field`."""
-    meta = _read_meta(base)
-    if meta.get("dtype") != "f32":
-        raise UnsupportedFormat(f"expected dtype f32, got {meta.get('dtype')!r}")
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    re = _read_plane(base + ".re.f32", "f32", rows, cols).astype(np.float64)
-    im = _read_plane(base + ".im.f32", "f32", rows, cols).astype(np.float64)
-    return WaveField(
-        re + 1j * im,
-        float(meta["pixel_pitch"]),
-        float(meta["wavelength"]),
-        _FORM_TAGS[meta["form"]],
-        float(meta.get("focus_offset", 0.0)),
-    )
-
-
-def store_quantized(q: QuantizedField, base: str) -> None:
-    """Write ``<base>.re.u8``, ``<base>.im.u8`` and ``<base>.meta.json``."""
-    q.real_plane.tofile(base + ".re.u8")
-    q.imag_plane.tofile(base + ".im.u8")
-    meta = {
-        "rows": q.rows,
-        "cols": q.cols,
-        "dtype": "u8",
-        "pixel_pitch": q.pixel_pitch,
-        "wavelength": q.wavelength,
-        "form": q.form.value,
-        "focus_offset": q.focus_offset,
-        "real_affine": {"offset": q.real_affine.offset, "scale": q.real_affine.scale},
-        "imag_affine": {"offset": q.imag_affine.offset, "scale": q.imag_affine.scale},
-    }
-    with open(_meta_path(base), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    meta, re, im = _load(base, "f32")
+    return WaveField(re.astype(np.float64) + 1j * im.astype(np.float64), *_optics(meta))
 
 
 def load_quantized(base: str) -> QuantizedField:
     """Load an 8-bit field pair written by :func:`store_quantized`."""
-    meta = _read_meta(base)
-    if meta.get("dtype") != "u8":
-        raise UnsupportedFormat(f"expected dtype u8, got {meta.get('dtype')!r}")
-    rows, cols = int(meta["rows"]), int(meta["cols"])
-    re = _read_plane(base + ".re.u8", "u8", rows, cols)
-    im = _read_plane(base + ".im.u8", "u8", rows, cols)
-    return QuantizedField(
-        re, im,
-        AffineRecord(meta["real_affine"]["offset"], meta["real_affine"]["scale"]),
-        AffineRecord(meta["imag_affine"]["offset"], meta["imag_affine"]["scale"]),
-        float(meta["pixel_pitch"]),
-        float(meta["wavelength"]),
-        _FORM_TAGS[meta["form"]],
-        float(meta.get("focus_offset", 0.0)),
-    )
+    meta, re, im = _load(base, "u8")
+    affines = (AffineRecord(meta[k]["offset"], meta[k]["scale"])
+               for k in ("real_affine", "imag_affine"))
+    return QuantizedField(re, im, *affines, *_optics(meta))
+
+
+def load_any_field(base: str) -> WaveField:
+    """Load a field base as float32 or 8-bit, whichever its sidecar says; an
+    8-bit field comes back dequantized."""
+    if _read_meta(base)["dtype"] == "u8":
+        return dequantize_components(load_quantized(base))
+    return load_field(base)

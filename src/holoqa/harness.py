@@ -29,7 +29,6 @@ are computed per display type.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import os
 from dataclasses import dataclass, field as _dc_field
@@ -37,7 +36,7 @@ from dataclasses import dataclass, field as _dc_field
 import numpy as np
 
 from .denoise import WienerParams, resolve_params, wiener_denoise
-from .errors import CorruptInput, DegenerateRanks, NoOverlap, UnknownMetric
+from .errors import CorruptInput, DegenerateRanks, InvalidField, NoOverlap, UnknownMetric
 from .field import (
     _NUMBER,
     ApertureSpec,
@@ -48,6 +47,8 @@ from .field import (
     extract_aperture_quantized,
     load_quantized,
     quantize_components,
+    read_json_object,
+    write_json,
 )
 from .metrics import (
     ALL_METRIC_IDS,
@@ -129,13 +130,7 @@ def load_manifest(path: str) -> DatasetManifest:
     ``rating_scale`` is two finite numbers lo < hi, ``aperture_size`` two
     positive ints, ``focal_offsets`` a non-empty list of finite numbers and
     ``views`` a list of known views."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise CorruptInput(f"{path}: invalid manifest JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise CorruptInput(f"{path}: manifest is not a JSON object")
+    doc = read_json_object(path, "manifest")
     _check_keys(path, doc, {"stimuli": list}, "manifest")
     stimuli = {}
     for i, s in enumerate(doc["stimuli"]):
@@ -172,6 +167,12 @@ class TrackConfig:
     upsample_m: int = 2
     clip_percentile: float = 99.9
     wiener: WienerParams = _dc_field(default_factory=WienerParams)
+
+    def __post_init__(self):
+        if not (_is_number(self.clip_percentile) and 0 <= self.clip_percentile <= 100):
+            raise InvalidField(
+                f"clip_percentile must be a number in [0, 100], got {self.clip_percentile!r}"
+            )
 
     def resolved_metrics(self) -> tuple:
         if self.track not in TRACKS:
@@ -397,6 +398,14 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
 # ---------------------------------------------------------------------------
 # report emission
 
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write one report table: ``header``, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def emit_report(report: EvalReport, out_dir: str, config: TrackConfig | None = None) -> list:
     """Write the deterministic report set; returns the paths written.
 
@@ -411,28 +420,21 @@ def emit_report(report: EvalReport, out_dir: str, config: TrackConfig | None = N
 
     if config is not None:
         path = os.path.join(out_dir, f"{report.track}_config.json")
-        doc = {
+        write_json(path, {
             "track": config.track,
             "metrics": list(report.metric_ids),
             "upsample_m": config.upsample_m,
             "clip_percentile": config.clip_percentile,
             "wiener_window": [config.wiener.window_h, config.wiener.window_w],
             "wiener_noise_variance": config.wiener.noise_variance,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+        })
         written.append(path)
 
     for display, rows in report.criteria.items():
         path = os.path.join(out_dir, f"{report.track}_{display.value}_criteria.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric"] + list(CRITERIA)
-                       + ["srocc_signed", "krcc_signed", "pcc_nofit_signed"])
-            for r in rows:
-                w.writerow([r.metric_id] + [repr(getattr(r, c)) for c in CRITERIA]
-                           + [repr(r.srocc_signed), repr(r.krcc_signed),
-                              repr(r.pcc_nofit_signed)])
+        columns = CRITERIA + ("srocc_signed", "krcc_signed", "pcc_nofit_signed")
+        _write_csv(path, ["metric", *columns],
+                   ([r.metric_id] + [repr(getattr(r, c)) for c in columns] for r in rows))
         written.append(path)
 
         txt = os.path.join(out_dir, f"{report.track}_{display.value}_criteria.txt")
@@ -447,28 +449,20 @@ def emit_report(report: EvalReport, out_dir: str, config: TrackConfig | None = N
 
     for display, mat in report.significance.items():
         path = os.path.join(out_dir, f"{report.track}_{display.value}_significance.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["metric"] + list(mat.metric_ids))
-            for mid, row in zip(mat.metric_ids, mat.entries):
-                w.writerow([mid] + [int(v) for v in row])
+        _write_csv(path, ["metric"] + list(mat.metric_ids),
+                   ([mid] + [int(v) for v in row]
+                    for mid, row in zip(mat.metric_ids, mat.entries)))
         written.append(path)
 
     path = os.path.join(out_dir, f"{report.track}_ranksums.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "rank_sum"])
-        order = sorted(report.rank_sums, key=lambda m: (-report.rank_sums[m], m))
-        for mid in order:
-            w.writerow([mid, repr(report.rank_sums[mid])])
+    order = sorted(report.rank_sums, key=lambda m: (-report.rank_sums[m], m))
+    _write_csv(path, ["metric", "rank_sum"],
+               ([mid, repr(report.rank_sums[mid])] for mid in order))
     written.append(path)
 
     path = os.path.join(out_dir, f"{report.track}_raw_scores.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["stimulus_id", "view", "focal_index", "metric", "value"])
-        for rec in report.raw_scores:
-            w.writerow([rec.stimulus_id, rec.view, rec.focal_index,
-                        rec.metric_id, repr(rec.value)])
+    _write_csv(path, ["stimulus_id", "view", "focal_index", "metric", "value"],
+               ([rec.stimulus_id, rec.view, rec.focal_index, rec.metric_id, repr(rec.value)]
+                for rec in report.raw_scores))
     written.append(path)
     return written

@@ -238,13 +238,17 @@ def rmse_fitted(fit: LogisticFit, scores, mos) -> float:
     return float(np.sqrt(np.mean((pred - mos) ** 2)))
 
 
-def outlier_ratio(fit: LogisticFit, scores, mos_records, ci_multiplier: float = 1.96) -> float:
+# z of the two-sided 95% confidence interval of a MOS record
+CI_MULTIPLIER = 1.96
+
+
+def outlier_ratio(fit: LogisticFit, scores, mos_records) -> float:
     """Fraction of fitted predictions outside the per-record 95% confidence
-    interval mos +- 1.96 * std / sqrt(n)."""
+    interval mos +- CI_MULTIPLIER * std / sqrt(n)."""
     pred = fit.predict(scores)
     outliers = 0
     for p, rec in zip(pred, mos_records):
-        half = ci_multiplier * rec.std / np.sqrt(rec.n)
+        half = CI_MULTIPLIER * rec.std / np.sqrt(rec.n)
         if p < rec.mos - half or p > rec.mos + half:
             outliers += 1
     return outliers / len(mos_records)
@@ -260,7 +264,11 @@ class SignificanceMatrix:
                           # metric i predicts significantly better than j
 
 
-def significance_matrix(residual_sets: dict, alpha: float = 0.05) -> SignificanceMatrix:
+# level of the paired t-test between two metrics' absolute residuals
+SIGNIFICANCE_ALPHA = 0.05
+
+
+def significance_matrix(residual_sets: dict) -> SignificanceMatrix:
     """Two-sided paired t-test on absolute residual vectors for each metric pair.
 
     Residuals must be paired per stimulus (same length and order).
@@ -283,7 +291,7 @@ def significance_matrix(residual_sets: dict, alpha: float = 0.05) -> Significanc
                 continue
             t_stat = d.mean() / (sd / np.sqrt(n))
             p = 2.0 * stdtr(n - 1, -abs(t_stat))
-            if p < alpha:
+            if p < SIGNIFICANCE_ALPHA:
                 sign = -1 if t_stat > 0 else 1   # larger residuals = worse
                 entries[i, j] = sign
                 entries[j, i] = -sign

@@ -4,7 +4,6 @@ dataset generator used by the bench harness and the CLI `synth` subcommand.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ from .field import (
     WaveField,
     quantize_components,
     store_quantized,
+    write_json,
 )
 from .stats import Display, MosRecord, write_mos_csv
 from .transform import nominal_focus_distance, refocus_kernel
@@ -201,7 +201,6 @@ def generate_demo_dataset(out_dir: str, size: int = 256, aperture: int = 192,
         "stimuli": stimuli,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    write_json(manifest_path, manifest)
     write_mos_csv(mos_records, os.path.join(out_dir, "mos.csv"))
     return manifest_path

@@ -29,7 +29,16 @@ from .errors import (
     PlanMismatch,
     UnsupportedFormat,
 )
-from .field import ApertureSpec, HologramForm, WaveField, extract_aperture
+from .field import (
+    _NUMBER,
+    ApertureSpec,
+    HologramForm,
+    WaveField,
+    _check_keys,
+    extract_aperture,
+    read_json_object,
+    write_json,
+)
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,29 @@ def _check_factor(m) -> int:
     if not float(m).is_integer() or int(m) < 2:
         raise InvalidFactor(f"upsampling factor must be an integer >= 2, got {m}")
     return int(m)
+
+
+# plan keys and their JSON types
+_PLAN_TYPES = {"m": int, "z": _NUMBER, "source_rows": int, "source_cols": int,
+               "target_rows": int, "target_cols": int,
+               "target_pitch": _NUMBER, "wavelength": _NUMBER}
+
+
+def read_plan(path: str) -> ConversionPlan:
+    """The conversion plan stored at ``path`` by ``holoqa convert``; raises
+    CorruptInput on invalid JSON, a missing, extra or mistyped key or a
+    size, z, pitch or wavelength that is not positive, InvalidFactor on an
+    ``m`` below 2."""
+    doc = read_json_object(path, "conversion plan")
+    _check_keys(path, doc, _PLAN_TYPES, "conversion plan")
+    extra = sorted(set(doc) - set(_PLAN_TYPES))
+    if extra:
+        raise CorruptInput(f"{path}: conversion plan has unknown keys {extra}")
+    _check_factor(doc["m"])
+    for key in _PLAN_TYPES:
+        if not doc[key] > 0:
+            raise CorruptInput(f"{path}: conversion plan key {key!r} holds {doc[key]!r}")
+    return ConversionPlan(**doc)
 
 
 def compute_focus_distance(n_pixels: int, pitch: float, wavelength: float, m: int = 2) -> float:
@@ -204,10 +236,8 @@ def clip_and_quantize_view(amp: np.ndarray, bound: float) -> np.ndarray:
 def store_view(pixels: np.ndarray, path: str, clip_bound: float, aperture: ApertureSpec,
                focal_distance: float, source_id: str) -> None:
     """Write a binary P5 PGM plus a JSON sidecar with the view metadata."""
-    import json
-
     store_gray_pgm(pixels, path)
-    meta = {
+    write_json(path + ".json", {
         "clip_bound": clip_bound,
         "focal_distance": focal_distance,
         "source_id": source_id,
@@ -218,9 +248,7 @@ def store_view(pixels: np.ndarray, path: str, clip_bound: float, aperture: Apert
             "width": aperture.width,
             "label": aperture.label.value,
         },
-    }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
+    })
 
 
 def store_gray_pgm(pixels: np.ndarray, path: str) -> None:

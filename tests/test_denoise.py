@@ -75,6 +75,11 @@ class TestWienerParams:
         with pytest.raises(InvalidField):
             WienerParams(5, 5, float("nan"))
 
+    @pytest.mark.parametrize("noise", ["abc", "1.5", None], ids=["text", "numeric-text", "none"])
+    def test_rejects_non_numeric_noise(self, noise):
+        with pytest.raises(InvalidField):
+            WienerParams(5, 5, noise)
+
     def test_resolve_auto_uses_reference(self):
         rng = np.random.default_rng(3)
         ref = rng.uniform(0, 255, (32, 32))

@@ -17,7 +17,13 @@ from hypothesis import given, settings, strategies as st
 import holoqa
 from holoqa import harness
 from holoqa.cli import main
-from holoqa.errors import DegenerateAmplitude, DegenerateRanks, NoOverlap, UnknownMetric
+from holoqa.errors import (
+    DegenerateAmplitude,
+    DegenerateRanks,
+    InvalidField,
+    NoOverlap,
+    UnknownMetric,
+)
 from holoqa.harness import (
     TrackConfig,
     emit_report,
@@ -65,6 +71,12 @@ class TestTrackConfig:
     def test_unknown_track_rejected(self):
         with pytest.raises(UnknownMetric):
             TrackConfig("qa9").resolved_metrics()
+
+    @pytest.mark.parametrize("percentile", [150.0, -0.5, float("nan"), "99"],
+                             ids=["above-100", "negative", "nan", "text"])
+    def test_bad_clip_percentile_rejected(self, percentile):
+        with pytest.raises(InvalidField):
+            TrackConfig("qa3", clip_percentile=percentile)
 
 
 class TestRunTrack:
@@ -390,7 +402,22 @@ _PLAN = {"m": 2, "z": 0.1, "source_rows": 256, "source_cols": 256,
 BAD_PLANS = {
     "missing-key": {k: v for k, v in _PLAN.items() if k != "z"},
     "extra-key": dict(_PLAN, shift=0.0),
+    "m-text": dict(_PLAN, m="2"),
+    "z-null": dict(_PLAN, z=None),
+    "m-one": dict(_PLAN, m=1),
+    "wavelength-zero": dict(_PLAN, wavelength=0),
 }
+
+
+@pytest.fixture(scope="module")
+def fresnel_base(demo_dataset, tmp_path_factory):
+    """``ring_ref`` converted to a 512x512 float32 Fresnel field, the grid
+    ``_PLAN`` inverts."""
+    base = str(tmp_path_factory.mktemp("fresnel") / "ring_fresnel")
+    out = _cli("convert", "--in", os.path.join(demo_dataset["root"], "fields", "ring_ref"),
+               "--out", base)
+    assert out.returncode == 0, out.stderr
+    return base
 
 
 class TestCli:
@@ -456,6 +483,25 @@ class TestCli:
         lines = dict(l.split("\t") for l in out.stdout.strip().splitlines())
         assert set(lines) == {"mse", "ssim", "gmsd"}
         assert float(lines["ssim"]) < 1.0
+
+    def test_score_field_bases_scores_amplitudes(self, demo_dataset, fresnel_base, tmp_path):
+        from holoqa.field import load_any_field
+        from holoqa.metrics import evaluate_real
+
+        fields = os.path.join(demo_dataset["root"], "fields")
+        dist_fresnel = str(tmp_path / "ring_requant5_fresnel")
+        assert _cli("convert", "--in", os.path.join(fields, "ring_requant5"),
+                    "--out", dist_fresnel).returncode == 0
+        # an 8-bit pair, then a float32 pair
+        for ref_base, dist_base in [(os.path.join(fields, "ring_ref"),
+                                     os.path.join(fields, "ring_requant5")),
+                                    (fresnel_base, dist_fresnel)]:
+            out = _cli("score", "--ref", ref_base, "--dist", dist_base, "--metrics", "mse,ssim")
+            assert out.returncode == 0, out.stderr
+            lines = dict(l.split("\t") for l in out.stdout.strip().splitlines())
+            ref = np.abs(load_any_field(ref_base).data)
+            dist = np.abs(load_any_field(dist_base).data)
+            assert lines == {mid: repr(evaluate_real(mid, ref, dist)) for mid in ("mse", "ssim")}
 
     def test_score_identity_is_perfect(self, demo_dataset):
         base = os.path.join(demo_dataset["root"], "fields", "dots_ref")
@@ -577,9 +623,12 @@ class TestCli:
         ("reconstruct", "--clip-percentile", "nan"),
         ("bench", "--clip-percentile", "-0.5"),
         ("bench", "--clip-percentile", "abc"),
+        ("reconstruct", "--focal-offset", "nan"),
+        ("reconstruct", "--focal-offset", "inf"),
     ], ids=["denoise-noise-text", "denoise-noise-nan", "denoise-noise-negative",
             "bench-noise-nan", "reconstruct-percentile-150", "reconstruct-percentile-nan",
-            "bench-percentile-negative", "bench-percentile-text"])
+            "bench-percentile-negative", "bench-percentile-text",
+            "reconstruct-focal-nan", "reconstruct-focal-inf"])
     def test_bad_flag_value_exit_2(self, demo_dataset, tmp_path, command, flag, value):
         target = tmp_path / "out"
         args = {
@@ -603,16 +652,26 @@ class TestCli:
         assert "--plan" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_convert_plan_template_exit_0(self, fresnel_base, tmp_path):
+        # the unedited plan inverts the Fresnel field: each bad plan fails on its edit
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(_PLAN), encoding="utf-8")
+        out = _cli("convert", "--in", fresnel_base, "--out", str(tmp_path / "back"),
+                   "--inverse", "--plan", str(path))
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+
+    @pytest.mark.filterwarnings("error")   # no NumPy warning before the error line
     @pytest.mark.parametrize("plan", BAD_PLANS.values(), ids=BAD_PLANS.keys())
-    def test_convert_bad_plan_exit_1(self, demo_dataset, tmp_path, plan):
-        base = os.path.join(demo_dataset["root"], "fields", "ring_ref")
+    def test_convert_bad_plan_exit_1(self, fresnel_base, tmp_path, plan):
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(plan), encoding="utf-8")
-        out = _cli("convert", "--in", base, "--out", str(tmp_path / "back"),
+        out = _cli("convert", "--in", fresnel_base, "--out", str(tmp_path / "back"),
                    "--inverse", "--plan", str(path))
         assert out.returncode == 1
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith("error: ")
+        assert not os.path.exists(tmp_path / "back.meta.json")
 
     def test_convert_round_trip(self, demo_dataset, tmp_path):
         base = os.path.join(demo_dataset["root"], "fields", "ring_ref")
