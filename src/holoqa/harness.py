@@ -126,7 +126,8 @@ def _is_number(v) -> bool:
 
 def load_manifest(path: str) -> DatasetManifest:
     """Read a dataset manifest; raises CorruptInput on invalid JSON, on a
-    missing or mistyped key, on a stimulus id listed twice, and unless
+    missing or mistyped key, on a stimulus id or view listed twice, on a field
+    path with a NUL byte, and unless
     ``rating_scale`` is two finite numbers lo < hi, ``aperture_size`` two
     positive ints, ``focal_offsets`` a non-empty list of finite numbers and
     ``views`` a list of known views."""
@@ -142,6 +143,8 @@ def load_manifest(path: str) -> DatasetManifest:
             raise CorruptInput(f"{path}: {where} is listed twice")
         _check_keys(path, s["distorted"], dict.fromkeys(s["distorted"], str),
                     f"{where} distorted")
+        if any("\0" in base for base in (s["reference"], *s["distorted"].values())):
+            raise CorruptInput(f"{path}: {where} names a field path with a NUL byte")
         stimuli[s["id"]] = StimulusEntry(
             s["id"],
             s["reference"],
@@ -156,6 +159,8 @@ def load_manifest(path: str) -> DatasetManifest:
     if not lo < hi:
         raise CorruptInput(f"{path}: rating_scale [{lo}, {hi}] is not increasing")
     views = _check_list(path, "views", doc.get("views", ["center"]), VIEWS.__contains__)
+    if len(set(views)) != len(views):
+        raise CorruptInput(f"{path}: views {views} list a view twice")
     return DatasetManifest(os.path.dirname(os.path.abspath(path)),
                            (float(lo), float(hi)), tuple(views), tuple(stimuli.values()))
 

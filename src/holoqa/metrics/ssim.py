@@ -64,29 +64,12 @@ def _local_stats(ref, dist, win):
     return mu_r, mu_d, var_r, var_d, cov
 
 
-def _lcs_maps(ref, dist, scratch: dict | None = None):
-    """Luminance map and combined contrast-structure map (C3 = C2/2 form);
-    SSIM, MS-SSIM and IW-SSIM share the full-size pair's through ``scratch``."""
-    def compute():
-        win = gaussian_window(_WIN, _WIN_SIGMA)
-        mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, win)
-        lum = (2.0 * mu_r * mu_d + _C1) / (mu_r * mu_r + mu_d * mu_d + _C1)
-        cs = (2.0 * cov + _C2) / (var_r + var_d + _C2)
-        return lum, cs
-    return from_scratch(scratch, "lcs", compute)
-
-
-def ssim_map(ref, dist, scratch: dict | None = None) -> np.ndarray:
-    """Local SSIM quality map (valid region of the 11x11 Gaussian window)."""
-    ref, dist = _check_pair(ref, dist)
-    if ref.shape[0] < _WIN or ref.shape[1] < _WIN:
-        raise InputTooSmall(f"input {ref.shape} smaller than {_WIN}x{_WIN} window")
-    lum, cs = _lcs_maps(ref, dist, scratch)
-    return lum * cs
-
-
-def ssim(ref, dist, scratch: dict | None = None) -> float:
-    return float(ssim_map(ref, dist, scratch).mean())
+def _lcs_maps(ref, dist, win):
+    """Luminance map and combined contrast-structure map (C3 = C2/2 form)."""
+    mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, win)
+    lum = (2.0 * mu_r * mu_d + _C1) / (mu_r * mu_r + mu_d * mu_d + _C1)
+    cs = (2.0 * cov + _C2) / (var_r + var_d + _C2)
+    return lum, cs
 
 
 def _downsample2(img: np.ndarray) -> np.ndarray:
@@ -97,11 +80,31 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
     return 0.25 * (img[0::2, 0::2] + img[1::2, 0::2] + img[0::2, 1::2] + img[1::2, 1::2])
 
 
-def _check_scales(shape, scales: int) -> None:
-    if min(shape) < _WIN * 2 ** (scales - 1):
-        raise InputTooSmall(
-            f"input {shape} too small for {scales} scales of a {_WIN}x{_WIN} window"
-        )
+def _scales(ref, dist, n: int, scratch: dict | None):
+    """``(ref_j, dist_j, lum_j, cs_j)`` for the first ``n`` dyadic scales,
+    finest first. SSIM, MS-SSIM and IW-SSIM share the full-size maps through
+    ``scratch``; the coarse scales are computed on each call."""
+    side = _WIN * 2 ** (n - 1)
+    if min(ref.shape) < side:
+        raise InputTooSmall(f"input {ref.shape} too small: {n} scale(s) of a "
+                            f"{_WIN}x{_WIN} window need {side}x{side}")
+    win = gaussian_window(_WIN, _WIN_SIGMA)
+    scales = [(ref, dist, *from_scratch(scratch, "lcs", lambda: _lcs_maps(ref, dist, win)))]
+    for _ in range(n - 1):
+        ref, dist = _downsample2(ref), _downsample2(dist)
+        scales.append((ref, dist, *_lcs_maps(ref, dist, win)))
+    return scales
+
+
+def ssim_map(ref, dist, scratch: dict | None = None) -> np.ndarray:
+    """Local SSIM quality map (valid region of the 11x11 Gaussian window)."""
+    ref, dist = _check_pair(ref, dist)
+    _, _, lum, cs = _scales(ref, dist, 1, scratch)[0]
+    return lum * cs
+
+
+def ssim(ref, dist, scratch: dict | None = None) -> float:
+    return float(ssim_map(ref, dist, scratch).mean())
 
 
 def ms_ssim(ref, dist, scratch: dict | None = None) -> float:
@@ -113,18 +116,11 @@ def ms_ssim(ref, dist, scratch: dict | None = None) -> float:
     """
     ref, dist = _check_pair(ref, dist)
     weights = _MSSSIM_WEIGHTS
-    scales = len(weights)
-    _check_scales(ref.shape, scales)
+    scales = _scales(ref, dist, len(weights), scratch)
     score = 1.0
-    for j in range(scales):
-        lum, cs = _lcs_maps(ref, dist, scratch if j == 0 else None)
-        if j == scales - 1:
-            factor = float((lum * cs).mean())
-        else:
-            factor = float(cs.mean())
-            ref = _downsample2(ref)
-            dist = _downsample2(dist)
-        score *= max(factor, 0.0) ** weights[j]
+    for j, (_, _, lum, cs) in enumerate(scales):
+        qmap = lum * cs if j == len(scales) - 1 else cs
+        score *= max(float(qmap.mean()), 0.0) ** weights[j]
     return score
 
 
@@ -132,6 +128,8 @@ def ms_ssim(ref, dist, scratch: dict | None = None) -> float:
 
 _IW_SIGMA_NSQ = 0.4    # HVS noise power of the scalar GSM model (8-bit data)
 _IW_WIN = 3
+# rows/columns a 3x3-valid weight map has beyond an 11x11-valid quality map
+_IW_TRIM = (_WIN - _IW_WIN) // 2
 
 
 def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray) -> np.ndarray:
@@ -165,26 +163,17 @@ def iw_ssim(ref, dist, scratch: dict | None = None) -> float:
     full (weighted) SSIM term."""
     ref, dist = _check_pair(ref, dist)
     weights = _MSSSIM_WEIGHTS
-    scales = len(weights)
-    _check_scales(ref.shape, scales)
-    margin = (_WIN - 1) // 2
-    iw_margin = (_IW_WIN - 1) // 2
-
+    scales = _scales(ref, dist, len(weights), scratch)
     score = 1.0
-    for j in range(scales):
-        lum, cs = _lcs_maps(ref, dist, scratch if j == 0 else None)
-        qmap = lum * cs if j == scales - 1 else cs
-        if j == scales - 1:
-            band_r, band_d = ref, dist
+    for j, (ref_j, dist_j, lum, cs) in enumerate(scales):
+        if j == len(scales) - 1:
+            qmap, band_r, band_d = lum * cs, ref_j, dist_j
         else:
-            low_r, low_d = _downsample2(ref), _downsample2(dist)
-            band_r = ref - _upsample2(low_r, ref.shape)
-            band_d = dist - _upsample2(low_d, dist.shape)
-            ref, dist = low_r, low_d
-        wmap = _info_weight_map(band_r, band_d)
-        # align the (3x3-valid) weight map with the (11x11-valid) quality map
-        trim = margin - iw_margin
-        wmap = wmap[trim:-trim, trim:-trim] if trim > 0 else wmap
+            low_r, low_d = scales[j + 1][:2]
+            qmap = cs
+            band_r = ref_j - _upsample2(low_r, ref_j.shape)
+            band_d = dist_j - _upsample2(low_d, dist_j.shape)
+        wmap = _info_weight_map(band_r, band_d)[_IW_TRIM:-_IW_TRIM, _IW_TRIM:-_IW_TRIM]
         wsum = wmap.sum()
         factor = float((wmap * qmap).sum() / wsum) if wsum > 0 else float(qmap.mean())
         score *= max(factor, 0.0) ** weights[j]

@@ -32,6 +32,15 @@ from holoqa.harness import (
 )
 from holoqa.stats import Display, MosRecord, read_mos_csv, evaluate_metric
 from holoqa.synth import generate_demo_dataset
+from holoqa.transform import load_gray_pgm
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A one-scene 32x32 dataset, for tests that run it many times."""
+    root = str(tmp_path_factory.mktemp("tiny"))
+    manifest = generate_demo_dataset(root, size=32, aperture=24, scenes=("dots",))
+    return {"root": root, "manifest": manifest, "mos": os.path.join(root, "mos.csv")}
 
 
 @pytest.fixture(scope="module")
@@ -323,18 +332,24 @@ def _bad_mos(edit):
     return make
 
 
+def _absolute_manifest(data):
+    """The manifest document of dataset ``data``, its field paths made
+    absolute so it stays valid in another directory."""
+    with open(data["manifest"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for s in doc["stimuli"]:
+        s["reference"] = os.path.join(data["root"], s["reference"])
+        s["distorted"] = {tag: os.path.join(data["root"], base)
+                          for tag, base in s["distorted"].items()}
+    return doc
+
+
 def _bad_manifest(edit):
-    """Case maker: the demo manifest, its field paths made absolute so it
-    stays valid in another directory, with its text passed through ``edit``."""
+    """Case maker: the demo manifest, its field paths made absolute, with its
+    text passed through ``edit``."""
     def make(demo, tmp_path):
-        with open(demo["manifest"], encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for s in doc["stimuli"]:
-            s["reference"] = os.path.join(demo["root"], s["reference"])
-            s["distorted"] = {tag: os.path.join(demo["root"], base)
-                              for tag, base in s["distorted"].items()}
         path = tmp_path / "manifest.json"
-        path.write_text(edit(json.dumps(doc)), encoding="utf-8")
+        path.write_text(edit(json.dumps(_absolute_manifest(demo))), encoding="utf-8")
         return str(path), demo["mos"]
     return make
 
@@ -376,7 +391,19 @@ BAD_INPUTS = {
     "manifest-focal-empty": _bad_manifest(_set_stimulus("focal_offsets", [])),
     "manifest-duplicate-id": _bad_manifest(_edit_json(
         lambda doc: doc["stimuli"].append(doc["stimuli"][0]))),
+    "manifest-duplicate-view": _bad_manifest(_edit_json(
+        lambda doc: doc.update(views=["center", "center"]))),
+    "manifest-nul-path": _bad_manifest(_set_stimulus("reference", "fields/dots\0ref")),
 }
+
+# any JSON value: NaN, infinities and 1e308 included
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.sampled_from([1e308, -0.0, "center", "corner", "requant5"]) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6,
+)
 
 
 BAD_SIDECARS = {
@@ -477,12 +504,18 @@ class TestCli:
         dist_base = os.path.join(root, "fields", "dots_requant5")
         assert _cli("reconstruct", "--in", dist_base, "--out", b,
                     "--aperture", "192", "192").returncode == 0
+        maps = tmp_path / "maps"
         out = _cli("score", "--ref", a, "--dist", b,
-                   "--metrics", "mse,ssim,gmsd")
+                   "--metrics", "mse,ssim,gmsd", "--emit-maps", "--out", str(maps))
         assert out.returncode == 0
         lines = dict(l.split("\t") for l in out.stdout.strip().splitlines())
         assert set(lines) == {"mse", "ssim", "gmsd"}
         assert float(lines["ssim"]) < 1.0
+        assert sorted(os.listdir(maps)) == ["gmsd_map.pgm", "ssim_map.pgm"]
+        for name, side in (("ssim_map.pgm", 182), ("gmsd_map.pgm", 192)):
+            codes = load_gray_pgm(str(maps / name))
+            assert codes.shape == (side, side)
+            assert codes.min() == 0 and codes.max() == 255
 
     def test_score_field_bases_scores_amplitudes(self, demo_dataset, fresnel_base, tmp_path):
         from holoqa.field import load_any_field
@@ -568,6 +601,31 @@ class TestCli:
         else:
             assert out.returncode == 0, out.stderr
             assert "nan" not in out.stdout.lower()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bench_fuzzed_manifest_exits_1_or_runs(self, tmp_path_factory, tiny_dataset,
+                                                   data):
+        doc = _absolute_manifest(tiny_dataset)
+        stimulus = doc["stimuli"][0]
+        target = data.draw(st.sampled_from(["top", "stimulus", "distorted", "delete"]))
+        if target == "delete":
+            del stimulus[data.draw(st.sampled_from(sorted(stimulus)))]
+        else:
+            where = {"top": doc, "stimulus": stimulus,
+                     "distorted": stimulus["distorted"]}[target]
+            where[data.draw(st.sampled_from(sorted(where)))] = data.draw(_JSON_VALUES)
+        base = tmp_path_factory.getbasetemp()
+        path = base / "fuzzed_manifest.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = _cli("bench", "--manifest", str(path), "--mos", tiny_dataset["mos"],
+                   "--track", "qa1", "--metrics", "mse", "--out", str(base / "fuzzed_rep"))
+        if out.returncode == 1:
+            # warnings (a stimulus with no MOS record) may come first
+            errors = [l for l in out.stderr.splitlines() if l.startswith("error: ")]
+            assert len(errors) == 1, out.stderr
+        else:
+            assert out.returncode == 0, out.stderr
 
     def test_bench_relocated_manifest_exit_0(self, demo_dataset, tmp_path):
         # the unedited case maker output is valid: each bad input fails on its edit

@@ -262,8 +262,16 @@ class TestSsimFamily:
     def test_input_too_small(self):
         with pytest.raises(InputTooSmall):
             ssim(np.ones((8, 8)), np.ones((8, 8)))
-        with pytest.raises(InputTooSmall):
-            ms_ssim(np.ones((64, 64)), np.ones((64, 64)))
+        small = np.ones((64, 64))
+        for fn in (ms_ssim, iw_ssim):
+            with pytest.raises(InputTooSmall):
+                fn(small, small)
+        # a scratch that ssim has filled for the pair must not skip the check
+        scratch = {}
+        ssim(small, small, scratch)
+        for fn in (ms_ssim, iw_ssim):
+            with pytest.raises(InputTooSmall):
+                fn(small, small, scratch)
 
 
 def _box(n):
