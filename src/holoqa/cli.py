@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .denoise import AUTO, WienerParams, wiener_denoise
-from .errors import HoloQAError, UnknownMetric
+from .errors import HoloQAError, InvalidFactor, InvalidField, UnknownMetric
 from .field import ApertureSpec, load_any_field, store_field, write_json
 from .harness import (
     TRACKS,
@@ -41,6 +41,7 @@ from .metrics import (
 from .stats import read_mos_csv
 from .synth import generate_demo_dataset
 from .transform import (
+    _check_factor,
     clip_and_quantize_view,
     fourier_to_fresnel,
     fresnel_to_fourier,
@@ -88,6 +89,22 @@ def noise_variance(text: str):
     return value
 
 
+def window(text: str) -> int:
+    """``--wiener-window``: a window side ``WienerParams`` accepts."""
+    try:
+        return WienerParams(int(text)).window
+    except InvalidField:
+        raise ValueError(text) from None
+
+
+def factor(text: str) -> int:
+    """``--upsample-m``: an upsampling factor the conversion accepts."""
+    try:
+        return _check_factor(int(text))
+    except InvalidFactor:
+        raise ValueError(text) from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -127,8 +144,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_denoise(args) -> int:
     pixels = load_gray_pgm(args.input).astype(np.float64)
-    out = wiener_denoise(pixels, WienerParams(args.wiener_window, args.wiener_window,
-                                              args.wiener_noise))
+    out = wiener_denoise(pixels, WienerParams(args.wiener_window, args.wiener_noise))
     store_gray_pgm(np.clip(np.round(out), 0, 255).astype(np.uint8), args.out)
     print(args.out)
     return 0
@@ -166,13 +182,9 @@ def _cmd_score(args) -> int:
 def _cmd_bench(args) -> int:
     manifest = load_manifest(args.manifest)
     mos = read_mos_csv(args.mos)
-    config = TrackConfig(
-        args.track,
-        _parse_metrics(args.metrics) if args.metrics is not None else (),
-        args.upsample_m,
-        args.clip_percentile,
-        WienerParams(args.wiener_window, args.wiener_window, args.wiener_noise),
-    )
+    metrics = _parse_metrics(args.metrics) if args.metrics is not None else ()
+    config = TrackConfig(args.track, metrics, args.upsample_m, args.clip_percentile,
+                         WienerParams(args.wiener_window, args.wiener_noise))
     report = run_track(manifest, mos, config)
     for path in emit_report(report, args.out, config):
         print(path)
@@ -200,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert between Fourier and Fresnel form")
     p.add_argument("--in", dest="input", required=True, help="input field base path")
     p.add_argument("--out", required=True, help="output field base path")
-    p.add_argument("--upsample-m", type=int, default=2)
+    p.add_argument("--upsample-m", type=factor, default=TrackConfig.upsample_m)
     p.add_argument("--inverse", action="store_true",
                    help="apply the inverse conversion using --plan")
     p.add_argument("--plan", help="conversion plan JSON (required with --inverse)")
@@ -213,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aperture", type=int, nargs=2, metavar=("H", "W"),
                    help="aperture window size (full field when omitted)")
     p.add_argument("--focal-offset", type=finite, default=0.0)
-    p.add_argument("--clip-percentile", type=percentile, default=99.9)
+    p.add_argument("--clip-percentile", type=percentile, default=TrackConfig.clip_percentile)
     p.set_defaults(run=_cmd_reconstruct)
 
     p = sub.add_parser("denoise", help="adaptive Wiener despeckling of a view")
     p.add_argument("--in", dest="input", required=True, help="input PGM path")
     p.add_argument("--out", required=True, help="output PGM path")
-    p.add_argument("--wiener-window", type=int, default=5)
+    p.add_argument("--wiener-window", type=window, default=WienerParams.window)
     p.add_argument("--wiener-noise", type=noise_variance, default=AUTO,
                    help="noise variance, or 'auto' (default)")
     p.set_defaults(run=_cmd_denoise)
@@ -240,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track", required=True, choices=TRACKS)
     p.add_argument("--metrics", help="comma-separated metric ids (default: all valid)")
     p.add_argument("--out", required=True, help="report output directory")
-    p.add_argument("--upsample-m", type=int, default=2)
-    p.add_argument("--clip-percentile", type=percentile, default=99.9)
-    p.add_argument("--wiener-window", type=int, default=5)
+    p.add_argument("--upsample-m", type=factor, default=TrackConfig.upsample_m)
+    p.add_argument("--clip-percentile", type=percentile, default=TrackConfig.clip_percentile)
+    p.add_argument("--wiener-window", type=window, default=WienerParams.window)
     p.add_argument("--wiener-noise", type=noise_variance, default=AUTO)
     p.set_defaults(run=_cmd_bench)
 

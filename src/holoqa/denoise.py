@@ -21,15 +21,12 @@ AUTO = "auto"
 
 @dataclass(frozen=True)
 class WienerParams:
-    window_h: int = 5
-    window_w: int = 5
+    window: int = 5           # side of the square window
     noise_variance: float | str = AUTO
 
     def __post_init__(self):
-        if self.window_h < 3 or self.window_w < 3 or self.window_h % 2 == 0 or self.window_w % 2 == 0:
-            raise InvalidField(
-                f"window dims must be odd and >= 3, got {self.window_h}x{self.window_w}"
-            )
+        if self.window < 3 or self.window % 2 == 0:
+            raise InvalidField(f"window must be odd and >= 3, got {self.window}")
         nv = self.noise_variance
         if nv != AUTO and not (isinstance(nv, (int, float)) and nv >= 0):
             raise InvalidField(f"noise_variance must be >= 0 or 'auto', got {nv!r}")
@@ -50,7 +47,7 @@ def estimate_noise_variance(image: np.ndarray, params: WienerParams) -> float:
     """AUTO rule: mean of the local window variances of the image."""
     image = np.asarray(image, dtype=np.float64)
     _check_window(image, params)
-    _, var = local_moments(image, params.window_h, params.window_w)
+    _, var = local_moments(image, params.window, params.window)
     return float(var.mean())
 
 
@@ -63,11 +60,9 @@ def resolve_params(reference: np.ndarray, params: WienerParams) -> WienerParams:
 
 
 def _check_window(image: np.ndarray, params: WienerParams) -> None:
-    if params.window_h > image.shape[0] or params.window_w > image.shape[1]:
-        raise WindowTooLarge(
-            f"window {params.window_h}x{params.window_w} exceeds image "
-            f"{image.shape[0]}x{image.shape[1]}"
-        )
+    if params.window > min(image.shape):
+        raise WindowTooLarge(f"window {params.window}x{params.window} exceeds image "
+                             f"{image.shape[0]}x{image.shape[1]}")
 
 
 def wiener_denoise(image: np.ndarray, params: WienerParams) -> np.ndarray:
@@ -83,7 +78,7 @@ def wiener_denoise(image: np.ndarray, params: WienerParams) -> np.ndarray:
         # zero noise power: the filter is the identity
         return image.copy()
 
-    mean, var = local_moments(image, params.window_h, params.window_w)
+    mean, var = local_moments(image, params.window, params.window)
     tiny = np.finfo(np.float64).tiny
     gain = np.maximum(var - nv, 0.0) / np.maximum(var, tiny)
     return mean + gain * (image - mean)

@@ -69,6 +69,7 @@ from .stats import (
     significance_matrix,
 )
 from .transform import (
+    _check_factor,
     clip_and_quantize_view,
     fourier_to_fresnel,
     reconstruct_view,
@@ -174,6 +175,7 @@ class TrackConfig:
     wiener: WienerParams = _dc_field(default_factory=WienerParams)
 
     def __post_init__(self):
+        _check_factor(self.upsample_m)
         if not (_is_number(self.clip_percentile) and 0 <= self.clip_percentile <= 100):
             raise InvalidField(
                 f"clip_percentile must be a number in [0, 100], got {self.clip_percentile!r}"
@@ -346,19 +348,14 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
                                f"lies outside the rating scale [{lo!r}, {hi!r}]")
     scorer = _field_scores if config.track in ("qa1", "qa2") else _view_scores
 
-    raw = []          # ScoreRecord list, manifest order
-    samples = []      # (stimulus_id, view, focal_index, scores dict)
+    samples = []      # (stimulus_id, view, focal_index, scores dict), manifest order
     for entry in manifest.stimuli:
         # scored reference-first, recorded in manifest order (tag, view, focal)
-        by_tag = {tag: [] for tag in entry.distorted}
-        for tag, view, fi, scores in scorer(config, manifest, entry, metric_ids):
-            by_tag[tag].append((view, fi, scores))
-        for tag, tag_samples in by_tag.items():
-            sid = f"{entry.stimulus_id}:{tag}"
-            for view, fi, scores in tag_samples:
-                samples.append((sid, view, fi, scores))
-                for mid in metric_ids:
-                    raw.append(ScoreRecord(sid, view, fi, mid, scores[mid]))
+        tags = list(entry.distorted)
+        scored = sorted(scorer(config, manifest, entry, metric_ids),
+                        key=lambda sample: tags.index(sample[0]))
+        samples += [(f"{entry.stimulus_id}:{tag}", view, fi, scores)
+                    for tag, view, fi, scores in scored]
 
     by_key = _mos_lookup(mos_records)
     criteria = {}
@@ -375,19 +372,18 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
             matched.append((scores, rec))
         if not matched:
             continue
+        recs = [r for _, r in matched]
         rows = []
         residual_sets = {}
         for mid in metric_ids:
-            vec = [s[mid] for s, _ in matched]
-            recs = [r for _, r in matched]
             try:
-                ev = evaluate_metric(mid, vec, recs)
+                ev = evaluate_metric(mid, [s[mid] for s, _ in matched], recs)
                 rows.append(ev.row)
                 residual_sets[mid] = ev.abs_residuals
             except DegenerateRanks as exc:
                 log.warning("metric %s degenerate on display %s: %s",
                             mid, display.value, exc)
-                rows.append(CriteriaRow(mid, *[float("nan")] * 9))
+                rows.append(CriteriaRow(mid, *[float("nan")] * 6))
         criteria[display] = rows
         if residual_sets:
             significance[display] = significance_matrix(residual_sets)
@@ -396,8 +392,9 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
         raise NoOverlap("no manifest stimulus has a matching MOS record")
 
     rank_sums = rank_aggregate([t for t in tables if t])
-    return EvalReport(config.track, metric_ids, criteria, significance,
-                      rank_sums, tuple(raw))
+    raw = tuple(ScoreRecord(sid, view, fi, mid, scores[mid])
+                for sid, view, fi, scores in samples for mid in metric_ids)
+    return EvalReport(config.track, metric_ids, criteria, significance, rank_sums, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +427,7 @@ def emit_report(report: EvalReport, out_dir: str, config: TrackConfig | None = N
             "metrics": list(report.metric_ids),
             "upsample_m": config.upsample_m,
             "clip_percentile": config.clip_percentile,
-            "wiener_window": [config.wiener.window_h, config.wiener.window_w],
+            "wiener_window": [config.wiener.window] * 2,
             "wiener_noise_variance": config.wiener.noise_variance,
         })
         written.append(path)

@@ -231,27 +231,23 @@ def fit_logistic4(scores, mos) -> LogisticFit:
                        float(np.linalg.norm(best.fun)))
 
 
-def rmse_fitted(fit: LogisticFit, scores, mos) -> float:
+def rmse_fitted(pred, mos) -> float:
     """RMS error between the fitted predictions and the MOS."""
-    pred = fit.predict(scores)
-    mos = np.asarray(mos, dtype=np.float64)
-    return float(np.sqrt(np.mean((pred - mos) ** 2)))
+    return float(np.sqrt(np.mean((pred - np.asarray(mos, dtype=np.float64)) ** 2)))
 
 
 # z of the two-sided 95% confidence interval of a MOS record
 CI_MULTIPLIER = 1.96
 
 
-def outlier_ratio(fit: LogisticFit, scores, mos_records) -> float:
+def outlier_ratio(pred, mos_records) -> float:
     """Fraction of fitted predictions outside the per-record 95% confidence
     interval mos +- CI_MULTIPLIER * std / sqrt(n)."""
-    pred = fit.predict(scores)
-    outliers = 0
-    for p, rec in zip(pred, mos_records):
-        half = CI_MULTIPLIER * rec.std / np.sqrt(rec.n)
-        if p < rec.mos - half or p > rec.mos + half:
-            outliers += 1
-    return outliers / len(mos_records)
+    mos = np.array([r.mos for r in mos_records])
+    std = np.array([r.std for r in mos_records])
+    half = CI_MULTIPLIER * std / np.sqrt([r.n for r in mos_records])
+    outliers = np.count_nonzero((pred < mos - half) | (pred > mos + half))
+    return int(outliers) / len(mos_records)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +298,22 @@ def significance_matrix(residual_sets: dict) -> SignificanceMatrix:
 class CriteriaRow:
     """Six evaluation criteria for one metric against one MOS set.
 
-    Correlations are reported as absolute values (the sign convention for
-    distance metrics); the raw signed values are retained alongside.
+    The correlations are stored signed; ``srocc``, ``krcc`` and ``pcc_nofit``
+    report their absolute values (the sign convention for distance metrics).
     """
 
     metric_id: str
-    srocc: float
-    krcc: float
-    pcc_nofit: float
-    pcc_fitted: float
-    rmse: float
-    outlier_ratio: float
     srocc_signed: float
     krcc_signed: float
     pcc_nofit_signed: float
+    pcc_fitted: float
+    rmse: float
+    outlier_ratio: float
+
+    srocc = property(lambda self: abs(self.srocc_signed))
+    krcc = property(lambda self: abs(self.krcc_signed))
+    pcc_nofit = property(lambda self: abs(self.pcc_nofit_signed))
+
 
 CRITERIA = ("srocc", "krcc", "pcc_nofit", "pcc_fitted", "rmse", "outlier_ratio")
 # criteria where smaller values indicate better prediction
@@ -348,21 +346,14 @@ def _definite_scores(scores) -> np.ndarray:
 def evaluate_metric(metric_id: str, scores, mos_records) -> MetricEvaluation:
     """Compute all six criteria for one metric's scores against MOS records."""
     mos = np.array([r.mos for r in mos_records], dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    rank_scores = scores  # rank statistics tolerate the +inf sentinel
-    s = srocc(rank_scores, mos)
-    k = krcc(rank_scores, mos)
+    s = srocc(scores, mos)  # rank statistics tolerate the +inf sentinel
+    k = krcc(scores, mos)
     fit_scores = _definite_scores(scores)
     p0 = pcc(fit_scores, mos)
     fit = fit_logistic4(fit_scores, mos)
     pred = fit.predict(fit_scores)
-    p1 = pcc(pred, mos)
-    err = rmse_fitted(fit, fit_scores, mos)
-    outl = outlier_ratio(fit, fit_scores, mos_records)
-    row = CriteriaRow(
-        metric_id, abs(s), abs(k), abs(p0), p1, err, outl,
-        srocc_signed=s, krcc_signed=k, pcc_nofit_signed=p0,
-    )
+    row = CriteriaRow(metric_id, s, k, p0, pcc(pred, mos), rmse_fitted(pred, mos),
+                      outlier_ratio(pred, mos_records))
     return MetricEvaluation(row, fit, np.abs(pred - mos))
 
 

@@ -178,7 +178,7 @@ def test_criterion_07_outlier_ratio_and_significance():
                   0.5 if i < 3 else 2.0, 20)
         for i, xi in enumerate(x)
     ]
-    assert outlier_ratio(fit, x, records) == pytest.approx(0.3)
+    assert outlier_ratio(fit.predict(x), records) == pytest.approx(0.3)
 
     rng = np.random.default_rng(104)
     sets = {f"m{i}": np.abs(rng.normal(0, 1 + i, 30)) for i in range(5)}
@@ -203,7 +203,7 @@ def test_criterion_08_rank_aggregation_checksum():
         rows = []
         for i in range(n):
             v = [float(rng.uniform()) for _ in range(6)]
-            rows.append(CriteriaRow(f"m{i}", *v, *v[:3]))  # signed = absolute
+            rows.append(CriteriaRow(f"m{i}", *v))  # signed = absolute
         tables.append(rows)
     # per criterion row: scores sum to n(n+1)/2
     for table in tables:

@@ -65,20 +65,20 @@ class TestLocalMoments:
 class TestWienerParams:
     def test_rejects_even_or_small_windows(self):
         with pytest.raises(InvalidField):
-            WienerParams(4, 5)
+            WienerParams(4)
         with pytest.raises(InvalidField):
-            WienerParams(5, 1)
+            WienerParams(1)
 
     def test_rejects_negative_noise(self):
         with pytest.raises(InvalidField):
-            WienerParams(5, 5, -1.0)
+            WienerParams(5, -1.0)
         with pytest.raises(InvalidField):
-            WienerParams(5, 5, float("nan"))
+            WienerParams(5, float("nan"))
 
     @pytest.mark.parametrize("noise", ["abc", "1.5", None], ids=["text", "numeric-text", "none"])
     def test_rejects_non_numeric_noise(self, noise):
         with pytest.raises(InvalidField):
-            WienerParams(5, 5, noise)
+            WienerParams(5, noise)
 
     def test_resolve_auto_uses_reference(self):
         rng = np.random.default_rng(3)
@@ -87,7 +87,7 @@ class TestWienerParams:
         assert params.noise_variance == estimate_noise_variance(ref, WienerParams())
 
     def test_resolve_concrete_is_identity(self):
-        p = WienerParams(5, 5, 2.5)
+        p = WienerParams(5, 2.5)
         assert resolve_params(np.ones((8, 8)), p) is p
 
 
@@ -95,13 +95,13 @@ class TestWienerFilter:
     def test_zero_noise_is_identity(self):
         rng = np.random.default_rng(4)
         img = rng.uniform(0, 255, (24, 24))
-        out = wiener_denoise(img, WienerParams(5, 5, 0.0))
+        out = wiener_denoise(img, WienerParams(5, 0.0))
         assert np.array_equal(out, img)
 
     def test_huge_noise_flattens_to_local_mean(self):
         rng = np.random.default_rng(5)
         img = rng.uniform(0, 255, (24, 24))
-        out = wiener_denoise(img, WienerParams(5, 5, 1e12))
+        out = wiener_denoise(img, WienerParams(5, 1e12))
         mean, _ = local_moments(img, 5, 5)
         assert np.allclose(out, mean, atol=1e-6)
 
@@ -120,7 +120,7 @@ class TestWienerFilter:
 
     def test_window_too_large(self):
         with pytest.raises(WindowTooLarge):
-            wiener_denoise(np.ones((4, 4)), WienerParams(5, 5, 1.0))
+            wiener_denoise(np.ones((4, 4)), WienerParams(5, 1.0))
 
     def test_non_finite_rejected(self):
         img = np.ones((8, 8))
@@ -132,6 +132,6 @@ class TestWienerFilter:
         rng = np.random.default_rng(7)
         img = rng.uniform(0, 255, (32, 32))
         nv = estimate_noise_variance(img, WienerParams())
-        a = wiener_denoise(img, WienerParams(5, 5, AUTO))
-        b = wiener_denoise(img, WienerParams(5, 5, nv))
+        a = wiener_denoise(img, WienerParams(5, AUTO))
+        b = wiener_denoise(img, WienerParams(5, nv))
         assert np.array_equal(a, b)

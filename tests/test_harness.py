@@ -683,10 +683,15 @@ class TestCli:
         ("bench", "--clip-percentile", "abc"),
         ("reconstruct", "--focal-offset", "nan"),
         ("reconstruct", "--focal-offset", "inf"),
+        ("denoise", "--wiener-window", "4"),
+        ("bench", "--wiener-window", "1"),
+        ("bench", "--upsample-m", "1"),
+        ("convert", "--upsample-m", "0"),
     ], ids=["denoise-noise-text", "denoise-noise-nan", "denoise-noise-negative",
             "bench-noise-nan", "reconstruct-percentile-150", "reconstruct-percentile-nan",
             "bench-percentile-negative", "bench-percentile-text",
-            "reconstruct-focal-nan", "reconstruct-focal-inf"])
+            "reconstruct-focal-nan", "reconstruct-focal-inf", "denoise-window-even",
+            "bench-window-1", "bench-upsample-1", "convert-upsample-0"])
     def test_bad_flag_value_exit_2(self, demo_dataset, tmp_path, command, flag, value):
         target = tmp_path / "out"
         args = {
@@ -695,6 +700,8 @@ class TestCli:
                             "--out", str(target)),
             "bench": ("--manifest", demo_dataset["manifest"], "--mos", demo_dataset["mos"],
                       "--track", "qa4", "--out", str(target)),
+            "convert": ("--in", os.path.join(demo_dataset["root"], "fields", "ring_ref"),
+                        "--out", str(target)),
         }[command]
         out = _cli(command, *args, flag, value)
         assert out.returncode == 2

@@ -12,6 +12,7 @@ from scipy.stats import rankdata
 from holoqa.errors import DegenerateRanks, StimulusMismatch
 from holoqa.stats import (
     ASCENDING_CRITERIA,
+    CI_MULTIPLIER,
     CRITERIA,
     CriteriaRow,
     Display,
@@ -232,7 +233,7 @@ class TestLogisticFit:
         x = np.linspace(1.0, 2.0, 20)
         y = 2.0 * x + 1.0
         fit = fit_logistic4(x, y)
-        assert rmse_fitted(fit, x, y) < 1e-4
+        assert rmse_fitted(fit.predict(x), y) < 1e-4
 
     def test_needs_five_samples(self):
         with pytest.raises(DegenerateRanks):
@@ -279,6 +280,23 @@ def test_demo_fits_no_worse_than_hand_rolled_loop():
         assert new[key] < 0.99 * parent[key], (key, new[key], parent[key])
 
 
+def _loop_outlier_ratio(pred, records):
+    """The per-record loop that outlier_ratio's array form replaced."""
+    outliers = 0
+    for p, rec in zip(pred, records):
+        half = CI_MULTIPLIER * rec.std / np.sqrt(rec.n)
+        if p < rec.mos - half or p > rec.mos + half:
+            outliers += 1
+    return outliers / len(records)
+
+
+# (mos, std, n, prediction): a drawn prediction, or one exactly on the CI's
+# low or high bound or on the MOS
+_RECORD_AND_PREDICTION = st.tuples(
+    st.floats(1.0, 5.0), st.floats(0.0, 4.0), st.integers(1, 50),
+    st.one_of(st.floats(0.0, 6.0), st.sampled_from(["low", "high", "mos"])))
+
+
 class TestOutlierRatio:
     def test_hand_constructed_three_of_ten(self):
         # identity-like fit: predictions equal scores
@@ -293,7 +311,31 @@ class TestOutlierRatio:
             else:
                 records.append(MosRecord(f"s{i}", Display.OPT, "center", 0,
                                          float(xi), 2.0, 20))
-        assert outlier_ratio(fit, x, records) == pytest.approx(0.3)
+        assert outlier_ratio(fit.predict(x), records) == pytest.approx(0.3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_RECORD_AND_PREDICTION, min_size=1, max_size=30))
+    def test_array_form_matches_per_record_loop(self, drawn):
+        records = [MosRecord(f"s{i}", Display.OPT, "center", 0, mos, std, n)
+                   for i, (mos, std, n, _) in enumerate(drawn)]
+        pred = []
+        for rec, (_, _, _, at) in zip(records, drawn):
+            half = CI_MULTIPLIER * rec.std / np.sqrt(rec.n)
+            bounds = {"low": rec.mos - half, "high": rec.mos + half, "mos": rec.mos}
+            pred.append(bounds[at] if isinstance(at, str) else at)
+        pred = np.array(pred)
+        got = outlier_ratio(pred, records)
+        assert got == _loop_outlier_ratio(pred, records) and type(got) is float
+        mos = np.array([r.mos for r in records])
+        assert rmse_fitted(pred, mos) == float(np.sqrt(np.mean((pred - mos) ** 2)))
+        if len(records) < 5:
+            return
+        try:
+            row = evaluate_metric("m", pred, records).row
+        except DegenerateRanks:
+            return
+        for crit in ("srocc", "krcc", "pcc_nofit"):
+            assert getattr(row, crit) == abs(getattr(row, f"{crit}_signed"))
 
 
 class TestSignificance:
@@ -389,7 +431,7 @@ class TestRankAggregation:
     def _table(values_by_metric):
         rows = []
         for mid, v in values_by_metric.items():
-            rows.append(CriteriaRow(mid, v, v, v, v, 1.0 - v, 1.0 - v, v, v, v))
+            rows.append(CriteriaRow(mid, v, v, v, v, 1.0 - v, 1.0 - v))
         return rows
 
     def test_single_criterion_ordering(self):
