@@ -64,11 +64,11 @@ def _parse_metrics(value: str) -> tuple:
 # argparse types: a ValueError is reported as "invalid <name> value" (exit 2)
 
 def percentile(text: str) -> float:
-    """``--clip-percentile``: a number in [0, 100]."""
-    value = float(text)
-    if not 0.0 <= value <= 100.0:
-        raise ValueError(text)
-    return value
+    """``--clip-percentile``: a clip percentile ``TrackConfig`` accepts."""
+    try:
+        return TrackConfig(TRACKS[0], clip_percentile=float(text)).clip_percentile
+    except InvalidField:
+        raise ValueError(text) from None
 
 
 def finite(text: str) -> float:
@@ -80,13 +80,12 @@ def finite(text: str) -> float:
 
 
 def noise_variance(text: str):
-    """``--wiener-noise``: 'auto' or a number >= 0."""
-    if text == AUTO:
-        return AUTO
-    value = float(text)
-    if not value >= 0.0:
-        raise ValueError(text)
-    return value
+    """``--wiener-noise``: 'auto' or a noise variance ``WienerParams`` accepts."""
+    try:
+        value = text if text == AUTO else float(text)
+        return WienerParams(noise_variance=value).noise_variance
+    except InvalidField:
+        raise ValueError(text) from None
 
 
 def window(text: str) -> int:

@@ -20,6 +20,13 @@ time, the reference is cropped or rendered once and every distorted version
 is scored against it, with a reference scratch that keeps the reference-only
 metric intermediates across the versions.
 
+qa3/qa4 prepare each reference (view, focal) on the calling thread and score
+its distorted versions as one job on a two-worker view pool that lives for
+one stimulus; a job renders, despeckles (qa4), quantizes and scores each
+version with a reference scratch of its own. Samples keep manifest order.
+No error is raised before every submitted job has ended, and the error of
+the earliest (view, focal) wins, from the reference preparation or a job.
+
 Evaluation samples are one score per (stimulus, view) for qa1/qa2 and one per
 (stimulus, view, focal plane) for qa3/qa4; MOS records are matched at the
 same granularity (averaged over focal planes for qa1/qa2) and correlations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
@@ -280,37 +288,60 @@ def _field_scores(config: TrackConfig, manifest: DatasetManifest,
                                                    ref_scratch)
 
 
+def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_px,
+                    metric_ids) -> list:
+    """One view-pool job: (tag, scores) of every distorted version at one
+    (view, focal), each rendered, despeckled with ``wp`` (qa4), quantized
+    with the reference's ``bound`` and scored against ``ref_px`` with a
+    reference scratch of this job's own."""
+    ref_scratch = {}
+    out = []
+    for tag, dist in dists:
+        dist_amp = reconstruct_view(dist, ap, offset)
+        if config.track == "qa4":
+            dist_amp = wiener_denoise(dist_amp, wp)
+        dist_px = clip_and_quantize_view(dist_amp, bound).astype(np.float64)
+        scratch = {}
+        out.append((tag, {mid: evaluate_real(mid, ref_px, dist_px, scratch=scratch,
+                                             ref_scratch=ref_scratch)
+                          for mid in metric_ids}))
+    return out
+
+
 def _view_scores(config: TrackConfig, manifest: DatasetManifest,
                  entry: StimulusEntry, metric_ids):
-    """View-domain samples (tag, view, focal_index, scores), one reference
-    render at a time: each (view, focal) of the reference is reconstructed,
-    its AUTO noise resolved and despeckled (qa4), its clip bound taken and
-    its codes quantized once, and every distorted version is quantized with
-    that bound and scored against it."""
+    """View-domain samples (tag, view, focal_index, scores) in manifest
+    order. The calling thread reconstructs each (view, focal) of the
+    reference, resolves its AUTO noise and despeckles it (qa4), takes its
+    clip bound and quantizes its codes, then submits that (view, focal)'s
+    versions as one job to the view pool. Errors follow the module
+    docstring's rule."""
     ref = dequantize_components(manifest.load_reference(entry))
-    dists = {tag: dequantize_components(manifest.load_distorted(entry, tag))
-             for tag in entry.distorted}
-    for view in manifest.views:
-        ap = view_aperture(view, ref.rows, ref.cols, entry.aperture_size)
-        for fi, offset in enumerate(entry.focal_offsets):
-            ref_scratch = {}
-            ref_amp = reconstruct_view(ref, ap, offset)
-            if config.track == "qa4":
-                wp = resolve_params(ref_amp, config.wiener)
-                ref_amp = wiener_denoise(ref_amp, wp)
-            bound = view_clip_bound(ref_amp, config.clip_percentile)
-            ref_px = clip_and_quantize_view(ref_amp, bound).astype(np.float64)
-            for tag, dist in dists.items():
-                dist_amp = reconstruct_view(dist, ap, offset)
-                if config.track == "qa4":
-                    dist_amp = wiener_denoise(dist_amp, wp)
-                dist_px = clip_and_quantize_view(dist_amp, bound).astype(np.float64)
-                scratch = {}
-                yield tag, view, fi, {
-                    mid: evaluate_real(mid, ref_px, dist_px, scratch=scratch,
-                                       ref_scratch=ref_scratch)
-                    for mid in metric_ids
-                }
+    dists = tuple((tag, dequantize_components(manifest.load_distorted(entry, tag)))
+                  for tag in entry.distorted)
+    jobs = []
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="holoqa-view") as pool:
+        try:
+            for view in manifest.views:
+                ap = view_aperture(view, ref.rows, ref.cols, entry.aperture_size)
+                for fi, offset in enumerate(entry.focal_offsets):
+                    ref_amp = reconstruct_view(ref, ap, offset)
+                    wp = None
+                    if config.track == "qa4":
+                        wp = resolve_params(ref_amp, config.wiener)
+                        ref_amp = wiener_denoise(ref_amp, wp)
+                    bound = view_clip_bound(ref_amp, config.clip_percentile)
+                    ref_px = clip_and_quantize_view(ref_amp, bound).astype(np.float64)
+                    jobs.append((view, fi, pool.submit(
+                        _score_versions, config, dists, ap, offset, wp, bound, ref_px,
+                        metric_ids)))
+        except Exception:
+            for _, _, job in jobs:      # an earlier job's error wins
+                job.result()
+            raise
+        for view, fi, job in jobs:
+            for tag, scores in job.result():
+                yield tag, view, fi, scores
 
 
 def _mos_lookup(mos_records):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import stdtr
 
 from .errors import CorruptInput, DegenerateRanks, StimulusMismatch
@@ -212,6 +211,9 @@ def fit_logistic4(scores, mos) -> LogisticFit:
     Tries the standard initialization and its direction-flipped twin (for
     anti-correlated metrics), keeping the lowest-residual solution.
     """
+    # imported here, so `import holoqa.cli` does not load scipy.optimize
+    from scipy.optimize import least_squares
+
     x = np.asarray(scores, dtype=np.float64)
     y = np.asarray(mos, dtype=np.float64)
     if x.size < 5 or x.shape != y.shape:

@@ -1,11 +1,24 @@
 """Shared fixtures: session-scoped demo datasets (generation is the costly
-part, so tests and the acceptance suite reuse one copy)."""
+part, so tests and the acceptance suite reuse one copy), and a guard that
+fails any test leaving a thread alive."""
 
 import os
+import threading
 
 import pytest
 
 from holoqa.synth import generate_demo_dataset
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_alive():
+    """The plane and view pools join their workers before they return, so a
+    test ends with no more threads than it started with."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left alive: {left}")
 
 
 @pytest.fixture(scope="session")

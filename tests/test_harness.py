@@ -9,6 +9,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ import holoqa
 from holoqa import harness
 from holoqa.cli import main
 from holoqa.errors import (
+    CorruptInput,
     DegenerateAmplitude,
     DegenerateRanks,
     InvalidField,
@@ -225,6 +228,101 @@ class TestReferenceFirst:
         with pytest.raises(DegenerateAmplitude):
             run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
         assert len(renders) == 1
+
+
+def _view_pool_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith("holoqa-view")]
+
+
+def _watched_renders(monkeypatch, manifest, hook):
+    """Patch ``holoqa.harness.reconstruct_view`` so that the render of
+    (view, focal) #k on the calling thread (the reference) or on a view-pool
+    worker (a distorted version) calls ``hook(k, on_worker)`` first."""
+    (entry,) = manifest.stimuli
+    q = manifest.load_reference(entry)
+    sites = [(harness.view_aperture(view, q.rows, q.cols, entry.aperture_size), offset)
+             for view in manifest.views for offset in entry.focal_offsets]
+    render = harness.reconstruct_view
+
+    def watched(f, ap, offset):
+        hook(sites.index((ap, offset)),
+             threading.current_thread().name.startswith("holoqa-view"))
+        return render(f, ap, offset)
+    monkeypatch.setattr(harness, "reconstruct_view", watched)
+
+
+class TestViewPool:
+    """qa3/qa4 score each (view, focal)'s distorted versions on a two-worker
+    pool; the error of the earliest (view, focal) in manifest order wins, and
+    it is raised only after every submitted job has ended."""
+
+    @pytest.mark.parametrize("track", ["qa3", "qa4"])
+    def test_versions_render_on_the_pool_and_no_worker_outlives_it(
+            self, dots_dataset, monkeypatch, track):
+        manifest, mos = dots_dataset
+        where = []
+        _watched_renders(monkeypatch, manifest, lambda k, on_worker: where.append(on_worker))
+        run_track(manifest, mos, TrackConfig(track, metrics=("mse",)))
+        (entry,) = manifest.stimuli
+        n_sites = len(manifest.views) * len(entry.focal_offsets)
+        assert where.count(False) == n_sites
+        assert where.count(True) == n_sites * len(entry.distorted)
+        assert _view_pool_threads() == []
+
+    def test_earliest_job_error_wins(self, dots_dataset, monkeypatch):
+        manifest, mos = dots_dataset
+        later_raised = threading.Event()
+
+        def fail(k, on_worker):
+            if on_worker and k == 0:
+                later_raised.wait(5)    # job #2 raises first
+                raise DegenerateAmplitude("job #1")
+            if on_worker and k == 1:
+                later_raised.set()
+                raise CorruptInput("job #2")
+        _watched_renders(monkeypatch, manifest, fail)
+        with pytest.raises(DegenerateAmplitude, match="job #1"):
+            run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
+        assert _view_pool_threads() == []
+
+    def test_earlier_job_error_wins_over_reference_error(self, dots_dataset, monkeypatch):
+        manifest, mos = dots_dataset
+        ref_failed = threading.Event()
+
+        def fail(k, on_worker):
+            if not on_worker and k == 1:
+                ref_failed.set()
+                raise CorruptInput("reference #2")
+            if on_worker and k == 0:
+                ref_failed.wait(5)      # the reference of #2 fails first
+                raise DegenerateAmplitude("job #1")
+        _watched_renders(monkeypatch, manifest, fail)
+        with pytest.raises(DegenerateAmplitude, match="job #1"):
+            run_track(manifest, mos, TrackConfig("qa4", metrics=("mse",)))
+        assert _view_pool_threads() == []
+
+    def test_reference_error_raised_after_earlier_jobs_end(self, dots_dataset, monkeypatch):
+        manifest, mos = dots_dataset
+        scored = []
+        evaluate = harness.evaluate_real
+
+        def fail(k, on_worker):
+            if on_worker:
+                time.sleep(0.2)         # job #1 ends after the reference of #2 fails
+            elif k == 1:
+                raise CorruptInput("reference #2")
+
+        def counted(*args, **kwargs):
+            value = evaluate(*args, **kwargs)
+            scored.append(value)
+            return value
+        _watched_renders(monkeypatch, manifest, fail)
+        monkeypatch.setattr(harness, "evaluate_real", counted)
+        with pytest.raises(CorruptInput, match="reference #2"):
+            run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
+        (entry,) = manifest.stimuli
+        assert len(scored) == len(entry.distorted)
+        assert _view_pool_threads() == []
 
 
 class TestEmitReport:
@@ -455,10 +553,11 @@ class TestCli:
         assert out.returncode == 0
         assert "holoqa" in out.stdout
 
-    def test_import_loads_no_stats_or_signal_and_starts_no_thread(self):
+    def test_import_loads_no_stats_signal_or_optimize_and_starts_no_thread(self):
         out = _python("-c", "import sys, threading, holoqa.cli; "
                             "print(sorted(m for m in sys.modules if m.startswith("
-                            "('scipy.stats', 'scipy.signal'))), threading.active_count())")
+                            "('scipy.stats', 'scipy.signal', 'scipy.optimize'))), "
+                            "threading.active_count())")
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["[]", "1"]
 
