@@ -96,6 +96,13 @@ def window(text: str) -> int:
         raise ValueError(text) from None
 
 
+def positive(text: str) -> int:
+    """``--size``, ``--aperture``: an integer >= 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 def factor(text: str) -> int:
     """``--upsample-m``: an upsampling factor the conversion accepts."""
     try:
@@ -203,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the self-contained demo dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--size", type=int, default=256, help="hologram side length")
-    p.add_argument("--aperture", type=int, default=192, help="aperture side length")
+    p.add_argument("--size", type=positive, default=256, help="hologram side length")
+    p.add_argument("--aperture", type=positive, default=192, help="aperture side length")
     p.add_argument("--seed", type=int, default=1234)
     p.set_defaults(run=_cmd_synth)
 
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="input field base path")
     p.add_argument("--out", required=True, help="output PGM path")
     p.add_argument("--view", choices=VIEWS, default="center")
-    p.add_argument("--aperture", type=int, nargs=2, metavar=("H", "W"),
+    p.add_argument("--aperture", type=positive, nargs=2, metavar=("H", "W"),
                    help="aperture window size (full field when omitted)")
     p.add_argument("--focal-offset", type=finite, default=0.0)
     p.add_argument("--clip-percentile", type=percentile, default=TrackConfig.clip_percentile)

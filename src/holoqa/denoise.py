@@ -32,13 +32,12 @@ class WienerParams:
             raise InvalidField(f"noise_variance must be >= 0 or 'auto', got {nv!r}")
 
 
-def local_moments(img, window_h, window_w):
-    """Local mean and variance over a window_h x window_w sliding window with
+def local_moments(img, window):
+    """Local mean and variance over a window x window sliding window with
     symmetric boundary padding. Returns (mean, var), same shape as img."""
     img = np.asarray(img, dtype=np.float64)
-    size = (window_h, window_w)
-    mean = uniform_filter(img, size=size, mode="reflect")
-    mean_sq = uniform_filter(img * img, size=size, mode="reflect")
+    mean = uniform_filter(img, size=window, mode="reflect")
+    mean_sq = uniform_filter(img * img, size=window, mode="reflect")
     var = np.maximum(mean_sq - mean * mean, 0.0)
     return mean, var
 
@@ -47,7 +46,7 @@ def estimate_noise_variance(image: np.ndarray, params: WienerParams) -> float:
     """AUTO rule: mean of the local window variances of the image."""
     image = np.asarray(image, dtype=np.float64)
     _check_window(image, params)
-    _, var = local_moments(image, params.window, params.window)
+    _, var = local_moments(image, params.window)
     return float(var.mean())
 
 
@@ -78,7 +77,7 @@ def wiener_denoise(image: np.ndarray, params: WienerParams) -> np.ndarray:
         # zero noise power: the filter is the identity
         return image.copy()
 
-    mean, var = local_moments(image, params.window, params.window)
+    mean, var = local_moments(image, params.window)
     tiny = np.finfo(np.float64).tiny
     gain = np.maximum(var - nv, 0.0) / np.maximum(var, tiny)
     return mean + gain * (image - mean)

@@ -163,8 +163,8 @@ class ApertureSpec:
             or self.col_offset + self.width > cols
         ):
             raise ApertureOutOfBounds(
-                f"window {self} does not fit inside a {rows}x{cols} field"
-            )
+                f"{self.height}x{self.width} window at ({self.row_offset}, "
+                f"{self.col_offset}) does not fit a {rows}x{cols} field")
 
 
 def _quantize_plane(values: np.ndarray) -> tuple[np.ndarray, AffineRecord]:

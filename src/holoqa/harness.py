@@ -20,11 +20,11 @@ time, the reference is cropped or rendered once and every distorted version
 is scored against it, with a reference scratch that keeps the reference-only
 metric intermediates across the versions.
 
-qa3/qa4 prepare each reference (view, focal) on the calling thread and score
-its distorted versions as one job on a two-worker view pool that lives for
-one stimulus; a job renders, despeckles (qa4), quantizes and scores each
-version with a reference scratch of its own. Samples keep manifest order.
-No error is raised before every submitted job has ended, and the error of
+``run_track`` owns the run's one two-worker pool. qa1/qa2 score imaginary
+planes on it (``score_components_avg``); qa3/qa4 prepare each reference
+(view, focal) on the calling thread and submit its distorted versions as one
+job that renders, despeckles (qa4), quantizes and scores them. No error
+leaves ``run_track`` before every submitted job has ended, and the error of
 the earliest (view, focal) wins, from the reference preparation or a job.
 
 Evaluation samples are one score per (stimulus, view) for qa1/qa2 and one per
@@ -43,6 +43,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
+from . import metrics
 from .denoise import WienerParams, resolve_params, wiener_denoise
 from .errors import CorruptInput, DegenerateRanks, InvalidField, NoOverlap, UnknownMetric
 from .field import (
@@ -64,7 +65,6 @@ from .metrics import (
     REAL_METRICS,
     check_metric_ids,
     evaluate_complex,
-    score_components_avg,
     evaluate_real,
 )
 from .stats import (
@@ -235,8 +235,26 @@ def view_aperture(view: str, rows: int, cols: int, size) -> ApertureSpec:
     return ApertureSpec.right_corner(rows, cols, h, w)
 
 
+def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedField,
+                         scratch: tuple, ref_scratch: tuple, pool) -> float:
+    """Mean of a real metric over the 8-bit real and imaginary planes, with
+    (real, imaginary) pairs of scratches. The imaginary planes are scored on
+    ``pool`` while this thread scores the real planes; no error is raised
+    before both have ended, and a real-plane error wins."""
+    im_future = pool.submit(metrics.evaluate_real, metric_id,
+                            ref.imag_plane.astype(np.float64),
+                            dist.imag_plane.astype(np.float64), scratch[1], ref_scratch[1])
+    try:
+        re_score = metrics.evaluate_real(metric_id, ref.real_plane.astype(np.float64),
+                                         dist.real_plane.astype(np.float64), scratch[0],
+                                         ref_scratch[0])
+    finally:
+        im_future.exception()       # waits without raising
+    return 0.5 * (re_score + im_future.result())
+
+
 def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField,
-                      ref_scratch):
+                      ref_scratch, pool):
     """qa1/qa2 scoring on a pair of quantized hologram crops. ``ref_scratch``
     holds the reference crop's real-plane, imaginary-plane and complex
     scratches."""
@@ -254,8 +272,8 @@ def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField,
             out[mid] = evaluate_complex(mid, ref_c, dist_c, scratch=complex_scratch,
                                         ref_scratch=ref_scratch[2])
         else:
-            out[mid] = score_components_avg(mid, ref_q, dist_q, scratch=planes_scratch,
-                                            ref_scratch=ref_scratch[:2])
+            out[mid] = score_components_avg(mid, ref_q, dist_q, planes_scratch,
+                                            ref_scratch[:2], pool)
     return out
 
 
@@ -269,7 +287,7 @@ def _prepared_field(config: TrackConfig, q: QuantizedField) -> QuantizedField:
 
 
 def _field_scores(config: TrackConfig, manifest: DatasetManifest,
-                  entry: StimulusEntry, metric_ids):
+                  entry: StimulusEntry, metric_ids, pool):
     """Hologram-domain samples (tag, view, -1, scores), view by view: each
     view's reference crop is cut once and every distorted version is scored
     against it."""
@@ -285,12 +303,12 @@ def _field_scores(config: TrackConfig, manifest: DatasetManifest,
         for tag, dist_q in dists.items():
             dist_crop = extract_aperture_quantized(dist_q, ap)
             yield tag, view, -1, _score_field_pair(metric_ids, ref_crop, dist_crop,
-                                                   ref_scratch)
+                                                   ref_scratch, pool)
 
 
 def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_px,
                     metric_ids) -> list:
-    """One view-pool job: (tag, scores) of every distorted version at one
+    """One qa3/qa4 job: (tag, scores) of every distorted version at one
     (view, focal), each rendered, despeckled with ``wp`` (qa4), quantized
     with the reference's ``bound`` and scored against ``ref_px`` with a
     reference scratch of this job's own."""
@@ -309,39 +327,37 @@ def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_px,
 
 
 def _view_scores(config: TrackConfig, manifest: DatasetManifest,
-                 entry: StimulusEntry, metric_ids):
+                 entry: StimulusEntry, metric_ids, pool):
     """View-domain samples (tag, view, focal_index, scores) in manifest
-    order. The calling thread reconstructs each (view, focal) of the
-    reference, resolves its AUTO noise and despeckles it (qa4), takes its
-    clip bound and quantizes its codes, then submits that (view, focal)'s
-    versions as one job to the view pool. Errors follow the module
-    docstring's rule."""
+    order. The calling thread renders, despeckles (qa4, AUTO noise resolved
+    on it) and quantizes each (view, focal) of the reference, then submits
+    its versions to ``pool`` as one job. On an error it waits for the jobs
+    already submitted, so the earliest one's error wins."""
     ref = dequantize_components(manifest.load_reference(entry))
     dists = tuple((tag, dequantize_components(manifest.load_distorted(entry, tag)))
                   for tag in entry.distorted)
     jobs = []
-    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="holoqa-view") as pool:
-        try:
-            for view in manifest.views:
-                ap = view_aperture(view, ref.rows, ref.cols, entry.aperture_size)
-                for fi, offset in enumerate(entry.focal_offsets):
-                    ref_amp = reconstruct_view(ref, ap, offset)
-                    wp = None
-                    if config.track == "qa4":
-                        wp = resolve_params(ref_amp, config.wiener)
-                        ref_amp = wiener_denoise(ref_amp, wp)
-                    bound = view_clip_bound(ref_amp, config.clip_percentile)
-                    ref_px = clip_and_quantize_view(ref_amp, bound).astype(np.float64)
-                    jobs.append((view, fi, pool.submit(
-                        _score_versions, config, dists, ap, offset, wp, bound, ref_px,
-                        metric_ids)))
-        except Exception:
-            for _, _, job in jobs:      # an earlier job's error wins
-                job.result()
-            raise
-        for view, fi, job in jobs:
-            for tag, scores in job.result():
-                yield tag, view, fi, scores
+    try:
+        for view in manifest.views:
+            ap = view_aperture(view, ref.rows, ref.cols, entry.aperture_size)
+            for fi, offset in enumerate(entry.focal_offsets):
+                ref_amp = reconstruct_view(ref, ap, offset)
+                wp = None
+                if config.track == "qa4":
+                    wp = resolve_params(ref_amp, config.wiener)
+                    ref_amp = wiener_denoise(ref_amp, wp)
+                bound = view_clip_bound(ref_amp, config.clip_percentile)
+                ref_px = clip_and_quantize_view(ref_amp, bound).astype(np.float64)
+                jobs.append((view, fi, pool.submit(
+                    _score_versions, config, dists, ap, offset, wp, bound, ref_px,
+                    metric_ids)))
+    except Exception:
+        for _, _, job in jobs:      # an earlier job's error wins
+            job.result()
+        raise
+    for view, fi, job in jobs:
+        for tag, scores in job.result():
+            yield tag, view, fi, scores
 
 
 def _mos_lookup(mos_records):
@@ -380,13 +396,14 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
     scorer = _field_scores if config.track in ("qa1", "qa2") else _view_scores
 
     samples = []      # (stimulus_id, view, focal_index, scores dict), manifest order
-    for entry in manifest.stimuli:
-        # scored reference-first, recorded in manifest order (tag, view, focal)
-        tags = list(entry.distorted)
-        scored = sorted(scorer(config, manifest, entry, metric_ids),
-                        key=lambda sample: tags.index(sample[0]))
-        samples += [(f"{entry.stimulus_id}:{tag}", view, fi, scores)
-                    for tag, view, fi, scores in scored]
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="holoqa-score") as pool:
+        for entry in manifest.stimuli:
+            # scored reference-first, recorded in manifest order (tag, view, focal)
+            tags = list(entry.distorted)
+            scored = sorted(scorer(config, manifest, entry, metric_ids, pool),
+                            key=lambda sample: tags.index(sample[0]))
+            samples += [(f"{entry.stimulus_id}:{tag}", view, fi, scores)
+                        for tag, view, fi, scores in scored]
 
     by_key = _mos_lookup(mos_records)
     criteria = {}

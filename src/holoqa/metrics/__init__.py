@@ -7,31 +7,24 @@ complex-capable variants mse_C, nmse_C, psnr_C, ssrm_C, ssrmt_C.
 Each metric is a plain ``(ref, dist) -> float`` function in its standard
 formulation; its constants are fixed module values next to it.
 
-Scratch: ``evaluate_real``, ``evaluate_complex`` and ``score_components_avg``
-(one dict per plane) take two optional dicts. The pair ``scratch`` lets the
-metrics of one (ref, dist) pair share intermediates: ssrm/ssrmt (and _C) one
-FFT-magnitude and rank pass per image, ssim/iwssim/msssim the full-size
-luminance and contrast-structure maps. Make a new one per pair; it holds one
-intermediate at a time. The ``ref_scratch`` belongs to one reference plane,
-view or complex crop and lives across every distorted version scored against
-it. It holds only reference-only intermediates, one per key and never
-evicted: fsim's phase congruency ("pc"), ssrm/ssrmt's FFT magnitudes and
-mid-ranks ("spectrum") and nlpd's normalized pyramid ("pyramid"). Values are
-bit-identical to calls without either scratch.
-
-``score_components_avg`` scores the imaginary planes on a worker thread of
-its own while the calling thread scores the real planes; each plane has its
-own scratches, so the value is the serial one.
+Scratch: ``evaluate_real`` and ``evaluate_complex`` take two optional
+dicts. The pair ``scratch`` lets the metrics of one (ref, dist) pair share
+intermediates: ssrm/ssrmt (and _C) one FFT-magnitude and rank pass per
+image, ssim/iwssim/msssim the full-size luminance and contrast-structure
+maps. Make a new one per pair; it holds one intermediate at a time. The
+``ref_scratch`` belongs to one reference plane, view or complex crop and
+lives across every distorted version scored against it. It holds only
+reference-only intermediates, one per key and never evicted: fsim's phase
+congruency ("pc"), ssrm/ssrmt's FFT magnitudes and mid-ranks ("spectrum")
+and nlpd's normalized pyramid ("pyramid"). Values are bit-identical to
+calls without either scratch.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from ..errors import UnknownMetric
-from ..field import QuantizedField
 from .gradient import fsim, gmsd, gmsd_map
 from .pointwise import mse, nmse, psnr
 from .pyramid import nlpd
@@ -125,23 +118,3 @@ def evaluate_complex(metric_id: str, ref, dist, scratch: dict | None = None,
     dist = np.asarray(dist, dtype=np.complex128)
     return _run(metric_id[:-2], ref, dist, scratch, ref_scratch)
 
-
-def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedField,
-                         scratch: tuple = (None, None),
-                         ref_scratch: tuple = (None, None)) -> float:
-    """Apply a real-valued metric to the 8-bit real planes and the 8-bit
-    imaginary planes separately and return the arithmetic mean. ``scratch``
-    is a (real-plane, imaginary-plane) pair of scratch dicts, ``ref_scratch``
-    the same for the reference's planes. The imaginary planes are scored on
-    a worker thread that lives for this call; leaving the ``with`` block waits
-    for it, so a real-plane error wins over an imaginary-plane one, and
-    neither is raised before both planes are done."""
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="holoqa-plane") as pool:
-        im_future = pool.submit(evaluate_real, metric_id,
-                                ref.imag_plane.astype(np.float64),
-                                dist.imag_plane.astype(np.float64), scratch[1],
-                                ref_scratch[1])
-        re_score = evaluate_real(metric_id, ref.real_plane.astype(np.float64),
-                                 dist.real_plane.astype(np.float64), scratch[0],
-                                 ref_scratch[0])
-    return 0.5 * (re_score + im_future.result())

@@ -142,6 +142,8 @@ def generate_demo_dataset(out_dir: str, size: int = 256, aperture: int = 192,
     """Write a self-contained demo dataset: quantized reference/distorted
     hologram files, a manifest and a synthetic MOS file whose scores track
     the distortion severity. Returns the manifest path."""
+    if not 1 <= aperture <= size:
+        raise InvalidField(f"aperture {aperture} does not fit a {size}x{size} hologram")
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
 

@@ -1,10 +1,12 @@
 """Shared fixtures: session-scoped demo datasets (generation is the costly
-part, so tests and the acceptance suite reuse one copy), and a guard that
-fails any test leaving a thread alive."""
+part, so tests and the acceptance suite reuse one copy), a test image with
+three noisy versions, and a guard that fails any test leaving a thread
+alive."""
 
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from holoqa.synth import generate_demo_dataset
@@ -12,7 +14,7 @@ from holoqa.synth import generate_demo_dataset
 
 @pytest.fixture(autouse=True)
 def no_thread_left_alive():
-    """The plane and view pools join their workers before they return, so a
+    """``run_track``'s scoring pool joins its workers before it returns, so a
     test ends with no more threads than it started with."""
     before = set(threading.enumerate())
     yield
@@ -41,3 +43,21 @@ def monotonicity_dataset(tmp_path_factory):
     )
     return {"root": root, "manifest": manifest,
             "mos": os.path.join(root, "mos.csv")}
+
+
+@pytest.fixture(scope="module")
+def image():
+    rng = np.random.default_rng(0)
+    yy, xx = np.mgrid[0:200, 0:200]
+    base = 90 + 60 * np.sin(xx / 7.0) * np.cos(yy / 9.0) + rng.normal(0, 12, (200, 200))
+    return np.clip(np.round(base), 0, 255).astype(np.float64)
+
+
+@pytest.fixture(scope="module")
+def noisy_versions(image):
+    rng = np.random.default_rng(1)
+    out = []
+    for sigma in (2.0, 6.0, 18.0):
+        noisy = image + rng.normal(0, sigma, image.shape)
+        out.append(np.clip(np.round(noisy), 0, 255).astype(np.float64))
+    return out

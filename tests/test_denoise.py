@@ -25,14 +25,14 @@ def _odd_windows(largest):
 class TestLocalMoments:
     def test_constant_image(self):
         img = np.full((20, 30), 7.5)
-        mean, var = local_moments(img, 5, 5)
+        mean, var = local_moments(img, 5)
         assert np.allclose(mean, 7.5, atol=1e-12)
         assert np.allclose(var, 0.0, atol=1e-9)
 
     def test_interior_matches_direct_computation(self):
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 255, (16, 16))
-        mean, var = local_moments(img, 3, 3)
+        mean, var = local_moments(img, 3)
         block = img[4:7, 5:8]
         assert mean[5, 6] == pytest.approx(block.mean(), rel=1e-12)
         assert var[5, 6] == pytest.approx(block.var(), rel=1e-9)
@@ -43,7 +43,7 @@ class TestLocalMoments:
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 10, (8, 8))
         padded = np.pad(img, 1, mode="symmetric")
-        mean, _ = local_moments(img, 3, 3)
+        mean, _ = local_moments(img, 3)
         assert mean[0, 0] == pytest.approx(padded[0:3, 0:3].mean(), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -51,13 +51,12 @@ class TestLocalMoments:
     def test_matches_brute_force_windows(self, data):
         rows = data.draw(st.integers(3, 40), label="rows")
         cols = data.draw(st.integers(3, 40), label="cols")
-        wh = data.draw(_odd_windows(min(rows, 15)), label="window_h")
-        ww = data.draw(_odd_windows(min(cols, 15)), label="window_w")
+        window = data.draw(_odd_windows(min(rows, cols, 15)), label="window")
         img = data.draw(arrays(np.float64, (rows, cols),
                                elements=st.floats(0.0, 255.0)), label="img")
-        padded = np.pad(img, ((wh // 2,) * 2, (ww // 2,) * 2), mode="symmetric")
-        windows = sliding_window_view(padded, (wh, ww))
-        mean, var = local_moments(img, wh, ww)
+        padded = np.pad(img, window // 2, mode="symmetric")
+        windows = sliding_window_view(padded, (window, window))
+        mean, var = local_moments(img, window)
         np.testing.assert_allclose(mean, windows.mean(axis=(2, 3)), rtol=0, atol=1e-8)
         np.testing.assert_allclose(var, windows.var(axis=(2, 3)), rtol=0, atol=1e-8)
 
@@ -102,7 +101,7 @@ class TestWienerFilter:
         rng = np.random.default_rng(5)
         img = rng.uniform(0, 255, (24, 24))
         out = wiener_denoise(img, WienerParams(5, 1e12))
-        mean, _ = local_moments(img, 5, 5)
+        mean, _ = local_moments(img, 5)
         assert np.allclose(out, mean, atol=1e-6)
 
     def test_reduces_noise_on_smooth_signal(self):

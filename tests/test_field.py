@@ -132,7 +132,8 @@ class TestAperture:
 
     def test_out_of_bounds_rejected(self):
         f = _random_field(np.random.default_rng(5), 16, 16)
-        with pytest.raises(ApertureOutOfBounds):
+        with pytest.raises(ApertureOutOfBounds,
+                           match=r"^10x8 window at \(10, 0\) does not fit a 16x16 field$"):
             extract_aperture(f, ApertureSpec(10, 0, 10, 8))
         with pytest.raises(ApertureOutOfBounds):
             extract_aperture(f, ApertureSpec(-1, 0, 4, 4))

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import logging
@@ -11,28 +12,35 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import holoqa
-from holoqa import harness
+from holoqa import harness, metrics
 from holoqa.cli import main
 from holoqa.errors import (
     CorruptInput,
     DegenerateAmplitude,
     DegenerateRanks,
+    DegenerateReference,
+    DimMismatch,
+    HoloQAError,
     InvalidField,
     NoOverlap,
     UnknownMetric,
 )
+from holoqa.field import HologramForm, WaveField, quantize_components
 from holoqa.harness import (
     TrackConfig,
     emit_report,
     load_manifest,
     run_track,
+    score_components_avg,
 )
+from holoqa.metrics import REAL_METRICS, evaluate_real
 from holoqa.stats import Display, MosRecord, read_mos_csv, evaluate_metric
 from holoqa.synth import generate_demo_dataset
 from holoqa.transform import load_gray_pgm
@@ -231,7 +239,7 @@ class TestReferenceFirst:
 
 
 def _view_pool_threads() -> list:
-    return [t for t in threading.enumerate() if t.name.startswith("holoqa-view")]
+    return [t for t in threading.enumerate() if t.name.startswith("holoqa-score")]
 
 
 def _watched_renders(monkeypatch, manifest, hook):
@@ -246,7 +254,7 @@ def _watched_renders(monkeypatch, manifest, hook):
 
     def watched(f, ap, offset):
         hook(sites.index((ap, offset)),
-             threading.current_thread().name.startswith("holoqa-view"))
+             threading.current_thread().name.startswith("holoqa-score"))
         return render(f, ap, offset)
     monkeypatch.setattr(harness, "reconstruct_view", watched)
 
@@ -323,6 +331,116 @@ class TestViewPool:
         (entry,) = manifest.stimuli
         assert len(scored) == len(entry.distorted)
         assert _view_pool_threads() == []
+
+
+def _quantized(img):
+    return quantize_components(WaveField(img + 1j * img[::-1].T, 8e-6, 640e-9,
+                                         HologramForm.FOURIER))
+
+
+def _planes(q):
+    return q.real_plane.astype(np.float64), q.imag_plane.astype(np.float64)
+
+
+class TestComponentAveraging:
+    """qa1/qa2 score each real metric's imaginary planes on the run's pool
+    while the calling thread scores the real planes."""
+
+    def test_threaded_planes_equal_serial_average(self, image, noisy_versions):
+        ref_q = _quantized(image)
+        ref_re, ref_im = _planes(ref_q)
+        planes_ref = ({}, {})        # cold for the first version, then warm
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for dist in noisy_versions:
+                dist_q = _quantized(dist)
+                dist_re, dist_im = _planes(dist_q)
+                planes = ({}, {})
+                for mid in REAL_METRICS:
+                    want = 0.5 * (evaluate_real(mid, ref_re, dist_re)
+                                  + evaluate_real(mid, ref_im, dist_im))
+                    got = score_components_avg(mid, ref_q, dist_q, (None, None),
+                                               (None, None), pool)
+                    assert got == want, mid
+                    got = score_components_avg(mid, ref_q, dist_q, planes, planes_ref,
+                                               pool)
+                    assert got == want, mid
+        ref_keys = {"pc", "spectrum", "pyramid"}
+        assert [set(r) for r in planes_ref] == [ref_keys, ref_keys]
+
+    @pytest.mark.parametrize("failing, raised", [
+        ({"real", "imag"}, DegenerateReference),
+        ({"imag"}, DimMismatch),
+        ({"real"}, DegenerateReference),
+    ])
+    def test_error_precedence(self, image, monkeypatch, failing, raised):
+        ref_q = _quantized(image)
+        ref_im = _planes(ref_q)[1]
+        calls = []
+
+        def fake_evaluate_real(metric_id, ref, dist, scratch=None, ref_scratch=None):
+            plane = "imag" if np.array_equal(ref, ref_im) else "real"
+            if plane == "imag":
+                time.sleep(0.2)     # the imaginary plane ends last
+            calls.append((plane, threading.current_thread() is threading.main_thread()))
+            if plane == "real" and "real" in failing:
+                raise DegenerateReference("real plane")
+            if plane == "imag" and "imag" in failing:
+                raise DimMismatch("imaginary plane")
+            return 1.0
+
+        monkeypatch.setattr(metrics, "evaluate_real", fake_evaluate_real)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(HoloQAError) as info:
+                score_components_avg("mse", ref_q, ref_q, (None, None), (None, None), pool)
+            # both planes ran, the imaginary one on the pool, and it had ended
+            assert sorted(calls) == [("imag", False), ("real", True)]
+        assert type(info.value) is raised
+
+    def test_averages_plane_scores(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        f = WaveField(data, 8e-6, 640e-9, HologramForm.FOURIER)
+        ref_q = quantize_components(f)
+        dist_q = quantize_components(
+            WaveField(data + 0.05 * (rng.normal(size=(64, 64))
+                                     + 1j * rng.normal(size=(64, 64))),
+                      8e-6, 640e-9, HologramForm.FOURIER)
+        )
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            score = score_components_avg("mse", ref_q, dist_q, (None, None),
+                                         (None, None), pool)
+        re_v = evaluate_real("mse", ref_q.real_plane.astype(float),
+                             dist_q.real_plane.astype(float))
+        im_v = evaluate_real("mse", ref_q.imag_plane.astype(float),
+                             dist_q.imag_plane.astype(float))
+        assert score == pytest.approx(0.5 * (re_v + im_v), rel=1e-12)
+
+    def test_qa1_run_scores_planes_on_at_most_two_pool_threads(self, dots_dataset,
+                                                               monkeypatch):
+        manifest, mos = dots_dataset
+        threads = []
+        evaluate = metrics.evaluate_real
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return evaluate(*args, **kwargs)
+        monkeypatch.setattr(metrics, "evaluate_real", recorded)
+        run_track(manifest, mos, TrackConfig("qa1", metrics=("mse", "ssim")))
+        (entry,) = manifest.stimuli
+        assert len(threads) == 2 * 2 * len(manifest.views) * len(entry.distorted)
+        workers = {t for t in threads if t is not threading.main_thread()}
+        assert 1 <= len(workers) <= 2
+        assert all(t.name.startswith("holoqa-score") for t in workers)
+
+
+def test_traced_attributes_resolve():
+    """Every attribute the benchmark's span tracer wraps exists after import."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr in spans.WRAPPED:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
 
 
 class TestEmitReport:
@@ -784,13 +902,16 @@ class TestCli:
         ("reconstruct", "--focal-offset", "inf"),
         ("denoise", "--wiener-window", "4"),
         ("bench", "--wiener-window", "1"),
+        ("synth", "--size", "0"),
+        ("synth", "--aperture", "-4"),
         ("bench", "--upsample-m", "1"),
         ("convert", "--upsample-m", "0"),
     ], ids=["denoise-noise-text", "denoise-noise-nan", "denoise-noise-negative",
             "bench-noise-nan", "reconstruct-percentile-150", "reconstruct-percentile-nan",
             "bench-percentile-negative", "bench-percentile-text",
             "reconstruct-focal-nan", "reconstruct-focal-inf", "denoise-window-even",
-            "bench-window-1", "bench-upsample-1", "convert-upsample-0"])
+            "bench-window-1", "synth-size-0", "synth-aperture-negative",
+            "bench-upsample-1", "convert-upsample-0"])
     def test_bad_flag_value_exit_2(self, demo_dataset, tmp_path, command, flag, value):
         target = tmp_path / "out"
         args = {
@@ -801,11 +922,34 @@ class TestCli:
                       "--track", "qa4", "--out", str(target)),
             "convert": ("--in", os.path.join(demo_dataset["root"], "fields", "ring_ref"),
                         "--out", str(target)),
+            "synth": ("--out", str(target)),
         }[command]
         out = _cli(command, *args, flag, value)
         assert out.returncode == 2
         assert f"argument {flag}: invalid" in out.stderr and repr(value) in out.stderr
         assert "Traceback" not in out.stderr
+        assert not target.exists()
+
+    @pytest.mark.parametrize("size, bad", [(("0", "0"), "0"), (("-4", "8"), "-4")],
+                             ids=["zero", "negative"])
+    def test_bad_aperture_exit_2(self, demo_dataset, tmp_path, size, bad):
+        target = tmp_path / "view.pgm"
+        out = _cli("reconstruct", "--in", os.path.join(demo_dataset["root"], "fields",
+                                                       "dots_ref"),
+                   "--out", str(target), "--aperture", *size)
+        assert out.returncode == 2
+        assert "argument --aperture: invalid" in out.stderr and repr(bad) in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not target.exists()
+
+    def test_aperture_larger_than_field_exit_1(self, demo_dataset, tmp_path):
+        target = tmp_path / "view.pgm"
+        out = _cli("reconstruct", "--in", os.path.join(demo_dataset["root"], "fields",
+                                                       "dots_ref"),
+                   "--out", str(target), "--aperture", "300", "300")
+        assert out.returncode == 1
+        assert out.stderr == ("error: 300x300 window at (-22, -22) does not fit a "
+                              "256x256 field\n")
         assert not target.exists()
 
     def test_convert_inverse_without_plan_exit_2(self, demo_dataset, tmp_path):

@@ -3,7 +3,6 @@
 import importlib
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -11,11 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.signal import fftconvolve
 from scipy.stats import rankdata
 
-from holoqa import metrics
 from holoqa.errors import (
     DegenerateReference,
     DimMismatch,
-    HoloQAError,
     InputTooSmall,
     UnknownMetric,
 )
@@ -26,7 +23,6 @@ from holoqa.metrics import (
     evaluate_complex,
     evaluate_real,
     perfect_value,
-    score_components_avg,
 )
 from holoqa.metrics import gradient
 from holoqa.metrics.gradient import fsim, gmsd, gmsd_map, phase_congruency
@@ -38,24 +34,6 @@ from holoqa.metrics.vif import vifp
 
 # the module, not the function that holoqa.metrics exports under that name
 ssim_module = importlib.import_module("holoqa.metrics.ssim")
-
-
-@pytest.fixture(scope="module")
-def image():
-    rng = np.random.default_rng(0)
-    yy, xx = np.mgrid[0:200, 0:200]
-    base = 90 + 60 * np.sin(xx / 7.0) * np.cos(yy / 9.0) + rng.normal(0, 12, (200, 200))
-    return np.clip(np.round(base), 0, 255).astype(np.float64)
-
-
-@pytest.fixture(scope="module")
-def noisy_versions(image):
-    rng = np.random.default_rng(1)
-    out = []
-    for sigma in (2.0, 6.0, 18.0):
-        noisy = image + rng.normal(0, sigma, image.shape)
-        out.append(np.clip(np.round(noisy), 0, 255).astype(np.float64))
-    return out
 
 
 class TestRegistry:
@@ -399,8 +377,6 @@ class TestSharing:
         assert np.array_equal(got, rankdata(-a[1:], method="average"))
 
     def test_scratch_values_bit_identical(self, image, noisy_versions):
-        from holoqa.field import HologramForm, WaveField, quantize_components
-
         dist = noisy_versions[1]
         scratch = {}
         for mid in REAL_METRICS:
@@ -415,16 +391,7 @@ class TestSharing:
             want = evaluate_complex(mid, fr, fd)
             assert evaluate_complex(mid, fr, fd, scratch=scratch) == want, mid
 
-        ref_q = quantize_components(WaveField(fr, 8e-6, 640e-9, HologramForm.FOURIER))
-        dist_q = quantize_components(WaveField(fd, 8e-6, 640e-9, HologramForm.FOURIER))
-        planes = ({}, {})
-        for mid in REAL_METRICS:
-            want = score_components_avg(mid, ref_q, dist_q)
-            assert score_components_avg(mid, ref_q, dist_q, scratch=planes) == want, mid
-
     def test_ref_scratch_values_bit_identical(self, image, noisy_versions):
-        from holoqa.field import HologramForm, WaveField, quantize_components
-
         ref_keys = {"pc", "spectrum", "pyramid"}
 
         def field(img):
@@ -450,22 +417,6 @@ class TestSharing:
                                        ref_scratch=complex_ref)
                 assert got == want, mid
         assert set(complex_ref) == {"spectrum"}
-
-        # real and imaginary planes
-        def quantized(img):
-            return quantize_components(WaveField(field(img), 8e-6, 640e-9,
-                                                 HologramForm.FOURIER))
-        ref_q = quantized(image)
-        planes_ref = ({}, {})
-        for dist in noisy_versions:
-            dist_q = quantized(dist)
-            planes = ({}, {})
-            for mid in REAL_METRICS:
-                want = score_components_avg(mid, ref_q, dist_q)
-                got = score_components_avg(mid, ref_q, dist_q, scratch=planes,
-                                           ref_scratch=planes_ref)
-                assert got == want, mid
-        assert [set(r) for r in planes_ref] == [ref_keys, ref_keys]
 
     def test_phase_congruency_cache_matches_uncached(self, image):
         gradient._log_gabor_factors.cache_clear()
@@ -504,80 +455,3 @@ class TestSharing:
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
 
-
-def _quantized(img):
-    from holoqa.field import HologramForm, WaveField, quantize_components
-
-    return quantize_components(WaveField(img + 1j * img[::-1].T, 8e-6, 640e-9,
-                                         HologramForm.FOURIER))
-
-
-def _planes(q):
-    return q.real_plane.astype(np.float64), q.imag_plane.astype(np.float64)
-
-
-class TestComponentAveraging:
-    def test_threaded_planes_equal_serial_average(self, image, noisy_versions):
-        ref_q = _quantized(image)
-        ref_re, ref_im = _planes(ref_q)
-        planes_ref = ({}, {})        # cold for the first version, then warm
-        for dist in noisy_versions:
-            dist_q = _quantized(dist)
-            dist_re, dist_im = _planes(dist_q)
-            planes = ({}, {})
-            for mid in REAL_METRICS:
-                want = 0.5 * (evaluate_real(mid, ref_re, dist_re)
-                              + evaluate_real(mid, ref_im, dist_im))
-                assert score_components_avg(mid, ref_q, dist_q) == want, mid
-                got = score_components_avg(mid, ref_q, dist_q, scratch=planes,
-                                           ref_scratch=planes_ref)
-                assert got == want, mid
-
-    @pytest.mark.parametrize("failing, raised", [
-        ({"real", "imag"}, DegenerateReference),
-        ({"imag"}, DimMismatch),
-        ({"real"}, DegenerateReference),
-    ])
-    def test_error_precedence(self, image, monkeypatch, failing, raised):
-        ref_q = _quantized(image)
-        ref_im = _planes(ref_q)[1]
-        calls = []
-
-        def fake_evaluate_real(metric_id, ref, dist, scratch=None, ref_scratch=None):
-            plane = "imag" if np.array_equal(ref, ref_im) else "real"
-            if plane == "imag":
-                time.sleep(0.2)     # the imaginary plane ends last
-            calls.append((plane, threading.current_thread() is threading.main_thread()))
-            if plane == "real" and "real" in failing:
-                raise DegenerateReference("real plane")
-            if plane == "imag" and "imag" in failing:
-                raise DimMismatch("imaginary plane")
-            return 1.0
-
-        monkeypatch.setattr(metrics, "evaluate_real", fake_evaluate_real)
-        threads = threading.active_count()
-        with pytest.raises(HoloQAError) as info:
-            score_components_avg("mse", ref_q, ref_q)
-        assert type(info.value) is raised
-        # both planes ran, the imaginary one on the worker, and it had ended
-        assert sorted(calls) == [("imag", False), ("real", True)]
-        assert threading.active_count() == threads     # the worker is gone
-
-    def test_averages_plane_scores(self):
-        from holoqa.field import HologramForm, WaveField, quantize_components
-
-        rng = np.random.default_rng(5)
-        data = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-        f = WaveField(data, 8e-6, 640e-9, HologramForm.FOURIER)
-        ref_q = quantize_components(f)
-        dist_q = quantize_components(
-            WaveField(data + 0.05 * (rng.normal(size=(64, 64))
-                                     + 1j * rng.normal(size=(64, 64))),
-                      8e-6, 640e-9, HologramForm.FOURIER)
-        )
-        score = score_components_avg("mse", ref_q, dist_q)
-        re_v = evaluate_real("mse", ref_q.real_plane.astype(float),
-                             dist_q.real_plane.astype(float))
-        im_v = evaluate_real("mse", ref_q.imag_plane.astype(float),
-                             dist_q.imag_plane.astype(float))
-        assert score == pytest.approx(0.5 * (re_v + im_v), rel=1e-12)

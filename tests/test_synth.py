@@ -122,6 +122,13 @@ class TestDemoDataset:
                                   scenes=("typo",))
         assert not os.path.exists(tmp_path / "manifest.json")
 
+    @pytest.mark.parametrize("aperture", [0, -4, 33])
+    def test_aperture_outside_hologram_rejected(self, tmp_path, aperture):
+        # a manifest the harness would reject is never written
+        with pytest.raises(InvalidField, match="32x32 hologram"):
+            generate_demo_dataset(str(tmp_path / "d"), size=32, aperture=aperture)
+        assert not os.path.exists(tmp_path / "d")
+
     def test_generation_is_deterministic(self, tmp_path, demo_dataset):
         other = str(tmp_path / "again")
         generate_demo_dataset(other, seed=1234)
