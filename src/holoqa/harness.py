@@ -23,9 +23,10 @@ metric intermediates across the versions.
 ``run_track`` owns the run's one two-worker pool. qa1/qa2 score imaginary
 planes on it (``score_components_avg``); qa3/qa4 prepare each reference
 (view, focal) on the calling thread and submit its distorted versions as one
-job that renders, despeckles (qa4), quantizes and scores them. No error
-leaves ``run_track`` before every submitted job has ended, and the error of
-the earliest (view, focal) wins, from the reference preparation or a job.
+job that dequantizes, renders, despeckles (qa4), quantizes and scores them.
+No error leaves ``run_track`` before every submitted job has ended, and the
+error of the earliest (view, focal) wins, from the reference preparation or
+a job.
 
 Evaluation samples are one score per (stimulus, view) for qa1/qa2 and one per
 (stimulus, view, focal plane) for qa3/qa4; MOS records are matched at the
@@ -290,7 +291,8 @@ def _field_scores(config: TrackConfig, manifest: DatasetManifest,
                   entry: StimulusEntry, metric_ids, pool):
     """Hologram-domain samples (tag, view, -1, scores), view by view: each
     view's reference crop is cut once and every distorted version is scored
-    against it."""
+    against it. The versions are held quantized (qa2: converted, then
+    requantized), 2 bytes per sample."""
     ref_q = _prepared_field(config, manifest.load_reference(entry))
     dists = {tag: _prepared_field(config, manifest.load_distorted(entry, tag))
              for tag in entry.distorted}
@@ -308,14 +310,14 @@ def _field_scores(config: TrackConfig, manifest: DatasetManifest,
 
 def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_px,
                     metric_ids) -> list:
-    """One qa3/qa4 job: (tag, scores) of every distorted version at one
-    (view, focal), each rendered, despeckled with ``wp`` (qa4), quantized
-    with the reference's ``bound`` and scored against ``ref_px`` with a
-    reference scratch of this job's own."""
+    """One qa3/qa4 job: (tag, scores) of every quantized distorted version at
+    one (view, focal), each dequantized, rendered, despeckled with ``wp``
+    (qa4), quantized with the reference's ``bound`` and scored against
+    ``ref_px`` with a reference scratch of this job's own."""
     ref_scratch = {}
     out = []
-    for tag, dist in dists:
-        dist_amp = reconstruct_view(dist, ap, offset)
+    for tag, dist_q in dists:
+        dist_amp = reconstruct_view(dequantize_components(dist_q), ap, offset)
         if config.track == "qa4":
             dist_amp = wiener_denoise(dist_amp, wp)
         dist_px = clip_and_quantize_view(dist_amp, bound).astype(np.float64)
@@ -331,11 +333,12 @@ def _view_scores(config: TrackConfig, manifest: DatasetManifest,
     """View-domain samples (tag, view, focal_index, scores) in manifest
     order. The calling thread renders, despeckles (qa4, AUTO noise resolved
     on it) and quantizes each (view, focal) of the reference, then submits
-    its versions to ``pool`` as one job. On an error it waits for the jobs
-    already submitted, so the earliest one's error wins."""
+    its versions to ``pool`` as one job. The versions are held quantized (2
+    bytes per sample) and each job dequantizes one at a time, so memory does
+    not grow by a complex field per version. On an error it waits for the
+    jobs already submitted, so the earliest one's error wins."""
     ref = dequantize_components(manifest.load_reference(entry))
-    dists = tuple((tag, dequantize_components(manifest.load_distorted(entry, tag)))
-                  for tag in entry.distorted)
+    dists = tuple((tag, manifest.load_distorted(entry, tag)) for tag in entry.distorted)
     jobs = []
     try:
         for view in manifest.views:

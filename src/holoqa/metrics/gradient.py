@@ -6,6 +6,7 @@ import functools
 import threading
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.ndimage import correlate
 
 from .params import from_ref_scratch
@@ -95,7 +96,7 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
     bank: per orientation, the magnitude of the summed complex responses over
     the summed response magnitudes, accumulated over orientations."""
     img = np.asarray(img, dtype=np.float64)
-    spectrum = np.fft.fft2(img)
+    spectrum = sp_fft.fft2(img)
     energy = np.zeros(img.shape)
     amp_sum = np.zeros(img.shape)
     with _BANK_LOCK:
@@ -104,7 +105,7 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
         sum_re = np.zeros(img.shape)
         sum_im = np.zeros(img.shape)
         for radial in radials:
-            resp = np.fft.ifft2(spectrum * (radial * spread))
+            resp = sp_fft.ifft2(spectrum * (radial * spread), overwrite_x=True)
             sum_re += resp.real
             sum_im += resp.imag
             amp_sum += np.abs(resp)

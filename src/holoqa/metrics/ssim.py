@@ -1,17 +1,21 @@
 """SSIM and its relatives: SSIM, MS-SSIM, IW-SSIM and UQI.
 
 All operate on 2D real grids (8-bit data as float). Local statistics are
-computed with valid-mode window filtering; the SSIM map uses the two-factor
-form l * cs with cs = (2*cov + C2)/(var_r + var_d + C2), which is the exact
-algebraic reduction of the luminance/contrast/structure product when
-C3 = C2/2 and the exponents are (1, 1, 1). The constants are the standard
-ones for 8-bit input (dynamic range L = 255).
+computed with valid-mode window filtering. Every SSIM, MS-SSIM and IW-SSIM
+window (and VIFp's) is the outer product of 1-D taps, so it runs as two 1-D
+passes (``separable_filter``); UQI's 8x8 box still goes through
+``fftconvolve``. The SSIM map uses the two-factor form l * cs with
+cs = (2*cov + C2)/(var_r + var_d + C2), which is the exact algebraic
+reduction of the luminance/contrast/structure product when C3 = C2/2 and the
+exponents are (1, 1, 1). The constants are the standard ones for 8-bit input
+(dynamic range L = 255).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import fft as sp_fft
+from scipy.ndimage import correlate1d
 
 from ..errors import DegenerateReference, DimMismatch, InputTooSmall
 from .params import from_scratch
@@ -34,10 +38,19 @@ def _check_pair(ref, dist):
 
 
 def gaussian_window(size: int, sigma: float) -> np.ndarray:
+    """Normalized 1-D Gaussian taps; the 2-D window is their outer product."""
     ax = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(ax * ax) / (2.0 * sigma * sigma))
-    win = np.outer(g, g)
-    return win / win.sum()
+    return g / g.sum()
+
+
+def separable_filter(img: np.ndarray, taps: np.ndarray, mode: str = "valid") -> np.ndarray:
+    """2-D filtering of ``img`` with the window ``outer(taps, taps)`` (odd,
+    symmetric ``taps``) as two zero-padded 1-D passes, cut to the "valid"
+    region or kept whole for "same" (zero padding is fftconvolve's "same")."""
+    h = len(taps) // 2 if mode == "valid" else 0
+    out = correlate1d(img, taps, axis=0, mode="constant")[h:img.shape[0] - h]
+    return correlate1d(out, taps, axis=1, mode="constant")[:, h:img.shape[1] - h]
 
 
 def fftconvolve(img: np.ndarray, win: np.ndarray, mode: str) -> np.ndarray:
@@ -54,19 +67,23 @@ def fftconvolve(img: np.ndarray, win: np.ndarray, mode: str) -> np.ndarray:
     return out[cut].copy()
 
 
-def _local_stats(ref, dist, win):
-    """Valid-mode local means, variances and covariance under window ``win``."""
-    mu_r = fftconvolve(ref, win, mode="valid")
-    mu_d = fftconvolve(dist, win, mode="valid")
-    var_r = fftconvolve(ref * ref, win, mode="valid") - mu_r * mu_r
-    var_d = fftconvolve(dist * dist, win, mode="valid") - mu_d * mu_d
-    cov = fftconvolve(ref * dist, win, mode="valid") - mu_r * mu_d
+def _local_stats(ref, dist, filt):
+    """Local means, variances and covariance under the window filter ``filt``
+    (one image in, its filtered valid region out). Every caller passes a
+    ``separable_filter`` but ``uqi``, whose 8x8 box stays on ``fftconvolve``
+    until its raw-score goldens are re-recorded (ROADMAP item 7)."""
+    mu_r = filt(ref)
+    mu_d = filt(dist)
+    var_r = filt(ref * ref) - mu_r * mu_r
+    var_d = filt(dist * dist) - mu_d * mu_d
+    cov = filt(ref * dist) - mu_r * mu_d
     return mu_r, mu_d, var_r, var_d, cov
 
 
-def _lcs_maps(ref, dist, win):
+def _lcs_maps(ref, dist, taps):
     """Luminance map and combined contrast-structure map (C3 = C2/2 form)."""
-    mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, win)
+    mu_r, mu_d, var_r, var_d, cov = _local_stats(
+        ref, dist, lambda x: separable_filter(x, taps))
     lum = (2.0 * mu_r * mu_d + _C1) / (mu_r * mu_r + mu_d * mu_d + _C1)
     cs = (2.0 * cov + _C2) / (var_r + var_d + _C2)
     return lum, cs
@@ -88,11 +105,11 @@ def _scales(ref, dist, n: int, scratch: dict | None):
     if min(ref.shape) < side:
         raise InputTooSmall(f"input {ref.shape} too small: {n} scale(s) of a "
                             f"{_WIN}x{_WIN} window need {side}x{side}")
-    win = gaussian_window(_WIN, _WIN_SIGMA)
-    scales = [(ref, dist, *from_scratch(scratch, "lcs", lambda: _lcs_maps(ref, dist, win)))]
+    taps = gaussian_window(_WIN, _WIN_SIGMA)
+    scales = [(ref, dist, *from_scratch(scratch, "lcs", lambda: _lcs_maps(ref, dist, taps)))]
     for _ in range(n - 1):
         ref, dist = _downsample2(ref), _downsample2(dist)
-        scales.append((ref, dist, *_lcs_maps(ref, dist, win)))
+        scales.append((ref, dist, *_lcs_maps(ref, dist, taps)))
     return scales
 
 
@@ -137,8 +154,9 @@ def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray) -> np.ndarray:
     model (3x3 windows, no parent band): the information the reference band
     carries plus the information surviving the gain/additive-noise channel to
     the distorted band. Non-negative and finite by construction."""
-    win = np.full((_IW_WIN, _IW_WIN), 1.0 / (_IW_WIN * _IW_WIN))
-    _, _, var_r, var_d, cov = _local_stats(band_r, band_d, win)
+    taps = np.full(_IW_WIN, 1.0 / _IW_WIN)
+    _, _, var_r, var_d, cov = _local_stats(band_r, band_d,
+                                           lambda x: separable_filter(x, taps))
     var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
     gain = np.where(var_r > 0, cov / np.maximum(var_r, np.finfo(float).tiny), 0.0)
     vv = np.maximum(var_d - gain * cov, 0.0)
@@ -152,8 +170,7 @@ def _upsample2(img: np.ndarray, shape) -> np.ndarray:
     r = min(sub.shape[0], img.shape[0])
     c = min(sub.shape[1], img.shape[1])
     sub[:r, :c] = img[:r, :c]
-    k = np.array([0.5, 1.0, 0.5])
-    return fftconvolve(up, k[:, None] * k[None, :], mode="same")
+    return separable_filter(up, np.array([0.5, 1.0, 0.5]), mode="same")
 
 
 def iw_ssim(ref, dist, scratch: dict | None = None) -> float:
@@ -191,7 +208,8 @@ def uqi(ref, dist) -> float:
     if ref.shape[0] < b or ref.shape[1] < b:
         raise InputTooSmall(f"input {ref.shape} smaller than {b}x{b} block")
     win = np.full((b, b), 1.0 / (b * b))
-    mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, win)
+    mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist,
+                                                 lambda x: fftconvolve(x, win, "valid"))
     den_l = mu_r * mu_r + mu_d * mu_d
     den_cs = var_r + var_d
     defined = (den_l != 0.0) & (den_cs != 0.0)

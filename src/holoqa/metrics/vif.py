@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateReference
-from .ssim import _check_pair, _local_stats, fftconvolve, gaussian_window
+from .ssim import _check_pair, _local_stats, gaussian_window, separable_filter
 
 _SIGMA_NSQ = 2.0
 _VAR_EPS = 1e-10
@@ -25,13 +25,14 @@ def vifp(ref, dist) -> float:
     tiny = np.finfo(np.float64).tiny
     for scale in range(1, _SCALES + 1):
         n = 2 ** (_SCALES - scale + 1) + 1
-        win = gaussian_window(n, n / 5.0)
+        taps = gaussian_window(n, n / 5.0)
         if scale > 1:
-            ref = fftconvolve(ref, win, mode="valid")[::2, ::2]
-            dist = fftconvolve(dist, win, mode="valid")[::2, ::2]
+            ref = separable_filter(ref, taps)[::2, ::2]
+            dist = separable_filter(dist, taps)[::2, ::2]
         if ref.shape[0] < n or ref.shape[1] < n:
             break
-        _, _, var_r, var_d, cov = _local_stats(ref, dist, win)
+        _, _, var_r, var_d, cov = _local_stats(ref, dist,
+                                               lambda x: separable_filter(x, taps))
         var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
         # roundoff-scale variances on flat regions carry no information
         var_r[var_r < _VAR_EPS] = 0.0

@@ -3,7 +3,8 @@ reconstruction to amplitude views and clip-and-quantize rendering.
 
 DFT conventions used throughout (fixed, so all round trips are exact):
 
-* transforms are the unnormalized numpy FFTs;
+* transforms are the unnormalized ``scipy.fft`` FFTs, with NumPy's
+  ``fftshift``/``ifftshift`` for centering;
 * "centered" spectra are obtained with ``fftshift(fft2(x))``; for an axis of
   length n the shifted frequency window is [-(n//2), n - n//2 - 1], so the
   n//2-th entry is the most negative frequency and even lengths carry their
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .errors import (
     CorruptInput,
@@ -117,16 +119,16 @@ def upsample_grid(data: np.ndarray, m: int) -> np.ndarray:
 
     Original samples are reproduced exactly at stride-m grid positions.
     """
-    spec = np.fft.fftshift(np.fft.fft2(data))
+    spec = np.fft.fftshift(sp_fft.fft2(data))
     padded = _pad_centered_spectrum(spec, m)
-    return np.fft.ifft2(np.fft.ifftshift(padded)) * (m * m)
+    return sp_fft.ifft2(np.fft.ifftshift(padded), overwrite_x=True) * (m * m)
 
 
 def downsample_grid(data: np.ndarray, m: int) -> np.ndarray:
     """Inverse of :func:`upsample_grid` (centered spectral crop)."""
-    spec = np.fft.fftshift(np.fft.fft2(data))
+    spec = np.fft.fftshift(sp_fft.fft2(data))
     cropped = _crop_centered_spectrum(spec, m)
-    return np.fft.ifft2(np.fft.ifftshift(cropped)) / (m * m)
+    return sp_fft.ifft2(np.fft.ifftshift(cropped), overwrite_x=True) / (m * m)
 
 
 def _grid_coordinates(rows: int, cols: int, pitch: float):
@@ -210,7 +212,7 @@ def reconstruct_view(f: WaveField, ap: ApertureSpec | None = None,
         sub.rows, sub.cols, sub.pixel_pitch, sub.wavelength,
         focal_offset, nominal_focus_distance(f),
     )
-    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(sub.data * q)))
+    spectrum = np.fft.fftshift(sp_fft.fft2(np.fft.ifftshift(sub.data * q), overwrite_x=True))
     return np.abs(spectrum)
 
 

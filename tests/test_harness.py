@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -331,6 +333,40 @@ class TestViewPool:
         (entry,) = manifest.stimuli
         assert len(scored) == len(entry.distorted)
         assert _view_pool_threads() == []
+
+
+def _aliased(manifest, mos, k):
+    """``manifest`` and ``mos`` with every distorted version listed ``k``
+    times, as aliases of the same files with matching MOS rows."""
+    stimuli = tuple(dataclasses.replace(e, distorted={
+        f"{tag}~{i}": base for tag, base in e.distorted.items() for i in range(k)})
+        for e in manifest.stimuli)
+    records = [dataclasses.replace(r, stimulus_id=f"{r.stimulus_id}~{i}")
+               for r in mos for i in range(k)]
+    return dataclasses.replace(manifest, stimuli=stimuli), records
+
+
+@pytest.mark.parametrize("track", ["qa3", "qa4"])
+def test_view_track_memory_does_not_grow_by_a_field_per_version(demo_dataset, track):
+    """qa3/qa4 hold distorted versions quantized and dequantize one per job,
+    so listing every version 4 times instead of once raises the traced peak
+    by less than half a dequantized field per added version."""
+    manifest = load_manifest(demo_dataset["manifest"])
+    mos = read_mos_csv(demo_dataset["mos"])
+    peaks = []
+    for k in (1, 4):
+        aliased = _aliased(manifest, mos, k)
+        tracemalloc.start()
+        try:
+            run_track(*aliased, TrackConfig(track, metrics=("mse",)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    entry = manifest.stimuli[0]
+    q = manifest.load_reference(entry)
+    field_bytes = q.rows * q.cols * np.dtype(np.complex128).itemsize
+    added = 3 * len(entry.distorted)
+    assert peaks[1] - peaks[0] < 0.5 * field_bytes * added
 
 
 def _quantized(img):

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 from scipy.stats import rankdata
 
@@ -252,25 +253,52 @@ class TestSsimFamily:
                 fn(small, small, scratch)
 
 
-def _box(n):
-    return np.full((n, n), 1.0 / (n * n))
+def _outer(taps):
+    return np.outer(taps, taps)
 
 
-_TAPS = np.array([0.5, 1.0, 0.5])
+# the 1-D taps of every (window, mode) that goes through ``separable_filter``
+_SEPARABLE = [
+    ("ssim-gauss11", gaussian_window(11, 1.5), "valid"),
+    *((f"vifp-gauss{n}", gaussian_window(n, n / 5.0), "valid") for n in (17, 9, 5, 3)),
+    ("iw-box3", np.full(3, 1.0 / 3.0), "valid"),
+    ("iw-upsample3", np.array([0.5, 1.0, 0.5]), "same"),
+]
 
-# every (window, mode) the metrics filter with
+# their 2-D windows and UQI's 8x8 box: every (window, mode) the metrics filter with
 _CONVOLUTIONS = [
-    pytest.param(gaussian_window(11, 1.5), "valid", id="ssim-gauss11"),
-    *(pytest.param(gaussian_window(n, n / 5.0), "valid", id=f"vifp-gauss{n}")
-      for n in (17, 9, 5, 3)),
-    pytest.param(_box(3), "valid", id="iw-box3"),
-    pytest.param(_box(8), "valid", id="uqi-box8"),
-    pytest.param(np.outer(_TAPS, _TAPS), "same", id="iw-upsample3"),
+    *(pytest.param(_outer(taps), mode, id=name) for name, taps, mode in _SEPARABLE),
+    pytest.param(np.full((8, 8), 1.0 / 64.0), "valid", id="uqi-box8"),
 ]
 
 
+class TestSeparableFilter:
+    """Two 1-D passes filter like ``scipy.signal.fftconvolve`` with the
+    outer-product window, to round-off relative to the image's magnitude."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=st.sampled_from(_SEPARABLE),
+           kind=st.sampled_from(["image", "product", "zeros"]),
+           rows=st.integers(17, 384), cols=st.integers(17, 384),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_fftconvolve(self, case, kind, rows, cols, seed):
+        _, taps, mode = case
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 256, (rows, cols)).astype(np.float64)
+        if kind == "product":
+            x = x * rng.integers(0, 256, (rows, cols))
+        elif kind == "zeros":
+            x = np.zeros((rows, cols))
+        want = fftconvolve(x, _outer(taps), mode=mode)
+        got = ssim_module.separable_filter(x, taps, mode)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(x).max()))
+
+
 class TestFftConvolve:
-    """The metrics' convolution is ``scipy.signal.fftconvolve`` bit for bit."""
+    """UQI's convolution, ``ssim.fftconvolve``, is ``scipy.signal.fftconvolve``
+    bit for bit (on every window the metrics used to filter with)."""
 
     @pytest.mark.parametrize("win, mode", _CONVOLUTIONS)
     @pytest.mark.parametrize("shape", [(17, 17), (24, 31), (64, 64), (97, 128),
@@ -329,7 +357,9 @@ class TestPyramidAndVif:
 
 def _uncached_phase_congruency(img):
     """Phase congruency with the full 16-filter bank built per call, as
-    before the factors were cached; the reference for the cached path."""
+    before the factors were cached; the reference for the cached path. It
+    makes the library's ``scipy.fft`` calls, so it checks the caching, not
+    the FFT library."""
     rows, cols = img.shape
     fy = np.fft.fftfreq(rows)[:, None]
     fx = np.fft.fftfreq(cols)[None, :]
@@ -339,7 +369,7 @@ def _uncached_phase_congruency(img):
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     sigma_theta = np.pi / 4 / 1.2
     log_sigma = np.log(0.55)
-    spectrum = np.fft.fft2(img)
+    spectrum = sp_fft.fft2(img)
     energy = np.zeros(img.shape)
     amp_sum = np.zeros(img.shape)
     for o in range(4):
@@ -354,7 +384,7 @@ def _uncached_phase_congruency(img):
             f0 = 1.0 / (6.0 * 2.0 ** s)
             radial = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * log_sigma * log_sigma))
             radial[0, 0] = 0.0
-            resp = np.fft.ifft2(spectrum * (radial * spread))
+            resp = sp_fft.ifft2(spectrum * (radial * spread), overwrite_x=True)
             sum_re += resp.real
             sum_im += resp.imag
             amp_sum += np.abs(resp)
