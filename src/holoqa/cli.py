@@ -21,16 +21,8 @@ import numpy as np
 from . import __version__
 from .denoise import AUTO, WienerParams, wiener_denoise
 from .errors import HoloQAError, InvalidFactor, InvalidField, UnknownMetric
-from .field import ApertureSpec, load_any_field, store_field, write_json
-from .harness import (
-    TRACKS,
-    VIEWS,
-    TrackConfig,
-    emit_report,
-    load_manifest,
-    run_track,
-    view_aperture,
-)
+from .field import VIEWS, ApertureSpec, load_any_field, store_field, write_json
+from .harness import TRACKS, TrackConfig, emit_report, load_manifest, run_track
 from .metrics import (
     COMPLEX_METRICS,
     MAP_METRICS,
@@ -139,7 +131,7 @@ def _cmd_reconstruct(args) -> int:
     if args.aperture is None:
         ap = ApertureSpec(0, 0, field.rows, field.cols)
     else:
-        ap = view_aperture(args.view, field.rows, field.cols, args.aperture)
+        ap = ApertureSpec.for_view(args.view, field.rows, field.cols, args.aperture)
     amp = reconstruct_view(field, ap, args.focal_offset)
     bound = view_clip_bound(amp, args.clip_percentile)
     store_view(clip_and_quantize_view(amp, bound), args.out, bound, ap,

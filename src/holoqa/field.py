@@ -1,17 +1,18 @@
 """Hologram data model: complex wavefields, 8-bit component quantization,
-synthetic-aperture cropping and bit-exact file I/O.
+the view windows (synthetic apertures) and bit-exact file I/O.
 
 File layout: one raw little-endian plane per algebraic component
 (``<id>.re.f32`` / ``<id>.im.f32`` for float32 fields, ``.u8`` for quantized
 ones) plus a JSON sidecar ``<id>.meta.json`` holding dimensions, optics
-metadata and, for quantized fields, the affine dequantization records.
+metadata (pixel pitch, wavelength, form) and, for quantized fields, the
+affine dequantization records. Focal distances are not field metadata: each
+view is rendered at the offsets its caller passes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -30,26 +31,18 @@ class HologramForm(Enum):
     FRESNEL = "fresnel"
 
 
-class ApertureLabel(Enum):
-    CENTER = "center"
-    RIGHT_CORNER = "right_corner"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class WaveField:
     """2D complex wavefield with optics metadata.
 
     ``data`` is row-major complex128; ``pixel_pitch`` (square pixels) and
-    ``wavelength`` are in meters. ``focus_offset`` is the focal shift in
-    meters relative to the nominal plane (0 for nominal).
+    ``wavelength`` are in meters.
     """
 
     data: np.ndarray
     pixel_pitch: float
     wavelength: float
     form: HologramForm
-    focus_offset: float = 0.0
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.complex128)
@@ -96,7 +89,6 @@ class QuantizedField:
     pixel_pitch: float
     wavelength: float
     form: HologramForm
-    focus_offset: float = 0.0
 
     def __post_init__(self):
         re = np.ascontiguousarray(self.real_plane, dtype=np.uint8)
@@ -119,39 +111,28 @@ class QuantizedField:
         return self.real_plane.shape[1]
 
 
+# the views a manifest or ``holoqa reconstruct --view`` may name
+VIEWS = ("center", "corner")
+
+
 @dataclass(frozen=True)
 class ApertureSpec:
-    """Rectangular synthetic-aperture window inside a hologram.
-
-    Center windows are placed at ((rows-h)//2, (cols-w)//2); right-corner
-    windows are flush with the bottom-right corner.
-    """
+    """Rectangular synthetic-aperture window inside a hologram."""
 
     row_offset: int
     col_offset: int
     height: int
     width: int
-    label: ApertureLabel = ApertureLabel.CUSTOM
 
     @staticmethod
-    def center(field_rows: int, field_cols: int, height: int, width: int) -> "ApertureSpec":
-        return ApertureSpec(
-            (field_rows - height) // 2,
-            (field_cols - width) // 2,
-            height,
-            width,
-            ApertureLabel.CENTER,
-        )
-
-    @staticmethod
-    def right_corner(field_rows: int, field_cols: int, height: int, width: int) -> "ApertureSpec":
-        return ApertureSpec(
-            field_rows - height,
-            field_cols - width,
-            height,
-            width,
-            ApertureLabel.RIGHT_CORNER,
-        )
+    def for_view(view: str, rows: int, cols: int, size) -> "ApertureSpec":
+        """The ``size`` = (height, width) window of ``view`` in a rows x cols
+        field: "center" at ((rows-h)//2, (cols-w)//2), "corner" flush with the
+        bottom-right corner."""
+        h, w = size
+        if view == "center":
+            return ApertureSpec((rows - h) // 2, (cols - w) // 2, h, w)
+        return ApertureSpec(rows - h, cols - w, h, w)
 
     def check_inside(self, rows: int, cols: int) -> None:
         if (
@@ -185,27 +166,15 @@ def quantize_components(f: WaveField) -> QuantizedField:
     min/max affine maps; round-trip error is at most scale/2 per sample."""
     re_codes, re_aff = _quantize_plane(f.data.real)
     im_codes, im_aff = _quantize_plane(f.data.imag)
-    return QuantizedField(
-        re_codes, im_codes, re_aff, im_aff,
-        f.pixel_pitch, f.wavelength, f.form, f.focus_offset,
-    )
+    return QuantizedField(re_codes, im_codes, re_aff, im_aff,
+                          f.pixel_pitch, f.wavelength, f.form)
 
 
 def dequantize_components(q: QuantizedField) -> WaveField:
     """Map codes back to field values: v = offset + scale * code."""
     re = q.real_affine.offset + q.real_affine.scale * q.real_plane.astype(np.float64)
     im = q.imag_affine.offset + q.imag_affine.scale * q.imag_plane.astype(np.float64)
-    return WaveField(re + 1j * im, q.pixel_pitch, q.wavelength, q.form, q.focus_offset)
-
-
-def extract_aperture(f: WaveField, ap: ApertureSpec) -> WaveField:
-    """Crop the aperture window; optics metadata and form are preserved."""
-    ap.check_inside(f.rows, f.cols)
-    sub = f.data[
-        ap.row_offset : ap.row_offset + ap.height,
-        ap.col_offset : ap.col_offset + ap.width,
-    ]
-    return WaveField(sub.copy(), f.pixel_pitch, f.wavelength, f.form, f.focus_offset)
+    return WaveField(re + 1j * im, q.pixel_pitch, q.wavelength, q.form)
 
 
 def extract_aperture_quantized(q: QuantizedField, ap: ApertureSpec) -> QuantizedField:
@@ -213,11 +182,8 @@ def extract_aperture_quantized(q: QuantizedField, ap: ApertureSpec) -> Quantized
     ap.check_inside(q.rows, q.cols)
     rsl = slice(ap.row_offset, ap.row_offset + ap.height)
     csl = slice(ap.col_offset, ap.col_offset + ap.width)
-    return QuantizedField(
-        q.real_plane[rsl, csl].copy(), q.imag_plane[rsl, csl].copy(),
-        q.real_affine, q.imag_affine,
-        q.pixel_pitch, q.wavelength, q.form, q.focus_offset,
-    )
+    return QuantizedField(q.real_plane[rsl, csl].copy(), q.imag_plane[rsl, csl].copy(),
+                          q.real_affine, q.imag_affine, q.pixel_pitch, q.wavelength, q.form)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +227,7 @@ def _store(base: str, dtype: str, re: np.ndarray, im: np.ndarray, f, **extra) ->
     write_json(_meta_path(base), {
         "rows": f.rows, "cols": f.cols, "dtype": dtype,
         "pixel_pitch": f.pixel_pitch, "wavelength": f.wavelength,
-        "form": f.form.value, "focus_offset": f.focus_offset, **extra,
+        "form": f.form.value, **extra,
     })
 
 
@@ -304,14 +270,12 @@ def _read_meta(base: str) -> dict:
     """The sidecar document of ``base``; raises CorruptInput on invalid JSON,
     a non-object document, a missing or mistyped key (the two affine records
     too for dtype u8) or ``rows`` or ``cols`` below 1, UnsupportedFormat on
-    an unknown form."""
+    an unknown form. Keys it does not know are ignored."""
     path = _meta_path(base)
     meta = read_json_object(path, "sidecar")
     _check_keys(path, meta, _META_TYPES)
     if meta["rows"] < 1 or meta["cols"] < 1:
         raise CorruptInput(f"{path}: grid is {meta['rows']}x{meta['cols']}")
-    if "focus_offset" in meta:
-        _check_keys(path, meta, {"focus_offset": _NUMBER})
     if meta["dtype"] == "u8":
         _check_keys(path, meta, {"real_affine": dict, "imag_affine": dict})
         for rec in ("real_affine", "imag_affine"):
@@ -342,9 +306,8 @@ def _load(base: str, dtype: str):
 
 
 def _optics(meta: dict) -> tuple:
-    """(pixel_pitch, wavelength, form, focus_offset) of a checked sidecar."""
-    return (float(meta["pixel_pitch"]), float(meta["wavelength"]),
-            _FORM_TAGS[meta["form"]], float(meta.get("focus_offset", 0.0)))
+    """(pixel_pitch, wavelength, form) of a checked sidecar."""
+    return float(meta["pixel_pitch"]), float(meta["wavelength"]), _FORM_TAGS[meta["form"]]
 
 
 def load_field(base: str) -> WaveField:

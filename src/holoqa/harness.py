@@ -49,6 +49,7 @@ from .denoise import WienerParams, resolve_params, wiener_denoise
 from .errors import CorruptInput, DegenerateRanks, InvalidField, NoOverlap, UnknownMetric
 from .field import (
     _NUMBER,
+    VIEWS,
     ApertureSpec,
     QuantizedField,
     _check_keys,
@@ -118,7 +119,6 @@ class DatasetManifest:
 # required stimulus keys and their JSON types
 _STIMULUS_TYPES = {"id": str, "reference": str, "distorted": dict,
                    "aperture_size": list, "focal_offsets": list}
-VIEWS = ("center", "corner")
 
 
 def _check_list(path: str, where: str, value, ok, size: int = 0) -> list:
@@ -227,15 +227,6 @@ class EvalReport:
     raw_scores: tuple       # ScoreRecord, manifest order
 
 
-def view_aperture(view: str, rows: int, cols: int, size) -> ApertureSpec:
-    """The ``size`` = (height, width) window of ``view`` in a rows x cols
-    field: centered, or flush with the bottom-right corner."""
-    h, w = size
-    if view == "center":
-        return ApertureSpec.center(rows, cols, h, w)
-    return ApertureSpec.right_corner(rows, cols, h, w)
-
-
 def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedField,
                          scratch: tuple, ref_scratch: tuple, pool) -> float:
     """Mean of a real metric over the 8-bit real and imaginary planes, with
@@ -300,7 +291,7 @@ def _field_scores(config: TrackConfig, manifest: DatasetManifest,
     ap_size = (entry.aperture_size[0] * m, entry.aperture_size[1] * m)
     for view in manifest.views:
         ref_scratch = ({}, {}, {})
-        ap = view_aperture(view, ref_q.rows, ref_q.cols, ap_size)
+        ap = ApertureSpec.for_view(view, ref_q.rows, ref_q.cols, ap_size)
         ref_crop = extract_aperture_quantized(ref_q, ap)
         for tag, dist_q in dists.items():
             dist_crop = extract_aperture_quantized(dist_q, ap)
@@ -342,7 +333,7 @@ def _view_scores(config: TrackConfig, manifest: DatasetManifest,
     jobs = []
     try:
         for view in manifest.views:
-            ap = view_aperture(view, ref.rows, ref.cols, entry.aperture_size)
+            ap = ApertureSpec.for_view(view, ref.rows, ref.cols, entry.aperture_size)
             for fi, offset in enumerate(entry.focal_offsets):
                 ref_amp = reconstruct_view(ref, ap, offset)
                 wp = None

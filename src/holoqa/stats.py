@@ -42,7 +42,8 @@ def read_mos_csv(path: str) -> list[MosRecord]:
     """Parse the MOS CSV (header: stimulus_id,display,view,focal_index,mos,std,n).
 
     Raises CorruptInput on a missing column, a non-numeric field, an unknown
-    display, a non-finite mos or std, std < 0, n < 1 or a repeated
+    display, a non-finite mos or std, std < 0, n < 1, focal_index < 0 (a
+    record rates one focal plane) or a repeated
     (stimulus_id, display, view, focal_index) key.
     """
     records = []
@@ -72,6 +73,9 @@ def read_mos_csv(path: str) -> list[MosRecord]:
                 raise CorruptInput(f"{where}: std must be >= 0, got {rec.std}")
             if rec.n < 1:
                 raise CorruptInput(f"{where}: n must be >= 1, got {rec.n}")
+            if rec.focal_index < 0:
+                raise CorruptInput(f"{where}: focal_index must be >= 0, "
+                                   f"got {rec.focal_index}")
             key = (rec.stimulus_id, rec.display, rec.view, rec.focal_index)
             if key in keys:
                 raise CorruptInput(f"{where}: duplicate MOS record for {key[0]}/"

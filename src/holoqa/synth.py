@@ -1,5 +1,9 @@
 """Synthetic hologram generation and requantization, plus the desk-scale demo
 dataset generator used by the bench harness and the CLI `synth` subcommand.
+
+Demo holograms are square, at an 8 um pixel pitch and a 640 nm wavelength;
+each stimulus is rendered at the nominal plane and at a focal offset of 2%
+of the nominal focus distance (the manifest's ``focal_offsets``).
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import numpy as np
 
 from .errors import InvalidField, ZeroScene
 from .field import (
-    ApertureSpec,
     HologramForm,
     QuantizedField,
     WaveField,
@@ -20,7 +23,7 @@ from .field import (
     write_json,
 )
 from .stats import Display, MosRecord, write_mos_csv
-from .transform import nominal_focus_distance, refocus_kernel
+from .transform import _grid_coordinates, compute_focus_distance, refocus_kernel
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,8 @@ def synth_hologram(points, rows: int, cols: int, pitch: float,
     points = list(points)
     if not points:
         raise ZeroScene("point list is empty")
-    yy = (np.arange(rows) - rows // 2)[:, None] * pitch
-    xx = (np.arange(cols) - cols // 2)[None, :] * pitch
-    probe = WaveField(np.zeros((rows, cols)) + 0j + 1.0, pitch, wavelength,
-                      HologramForm.FOURIER)
-    z_nom = nominal_focus_distance(probe)
+    yy, xx = _grid_coordinates(rows, cols, pitch)
+    z_nom = compute_focus_distance(max(rows, cols), pitch, wavelength)
 
     data = np.zeros((rows, cols), dtype=np.complex128)
     for p in points:
@@ -67,10 +67,10 @@ def synth_hologram(points, rows: int, cols: int, pitch: float,
     return WaveField(data / peak, pitch, wavelength, HologramForm.FOURIER)
 
 
-def view_bin_spacing(field: WaveField) -> float:
-    """Transverse distance per reconstruction bin: lambda * z_nom / (N * p)."""
-    n = max(field.rows, field.cols)
-    return field.wavelength * nominal_focus_distance(field) / (n * field.pixel_pitch)
+def view_bin_spacing(n: int, pitch: float, wavelength: float) -> float:
+    """Transverse distance per reconstruction bin of a hologram whose larger
+    side has ``n`` pixels: lambda * z_nom / (n * pitch)."""
+    return wavelength * compute_focus_distance(n, pitch, wavelength) / (n * pitch)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def synth_distort(q: QuantizedField, bits: int) -> QuantizedField:
     re, im = (np.round(np.round(plane / 255.0 * levels) / levels * 255.0).astype(np.uint8)
               for plane in (q.real_plane, q.imag_plane))
     return QuantizedField(re, im, q.real_affine, q.imag_affine,
-                          q.pixel_pitch, q.wavelength, q.form, q.focus_offset)
+                          q.pixel_pitch, q.wavelength, q.form)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,8 @@ def synth_distort(q: QuantizedField, bits: int) -> QuantizedField:
 
 _DEMO_SCENES = ("dots", "bars", "ring", "cloud")
 _DISPLAYS = (Display.OPT, Display.LF, Display.TWO_D)
+_DEMO_PITCH = 8e-6          # meters
+_DEMO_WAVELENGTH = 640e-9   # meters
 
 
 def _demo_points(scene: str, extent: float, focal_step: float,
@@ -137,7 +139,6 @@ def _demo_points(scene: str, extent: float, focal_step: float,
 
 def generate_demo_dataset(out_dir: str, size: int = 256, aperture: int = 192,
                           bits_levels=(7, 6, 5), seed: int = 1234,
-                          pitch: float = 8e-6, wavelength: float = 640e-9,
                           scenes=_DEMO_SCENES) -> str:
     """Write a self-contained demo dataset: quantized reference/distorted
     hologram files, a manifest and a synthetic MOS file whose scores track
@@ -147,20 +148,15 @@ def generate_demo_dataset(out_dir: str, size: int = 256, aperture: int = 192,
     fields_dir = os.path.join(out_dir, "fields")
     os.makedirs(fields_dir, exist_ok=True)
 
-    probe = WaveField(np.ones((size, size), dtype=np.complex128), pitch,
-                      wavelength, HologramForm.FOURIER)
-    z_nom = nominal_focus_distance(probe)
-    focal_step = 0.02 * z_nom
-    extent = 0.35 * size * view_bin_spacing(probe)
+    focal_step = 0.02 * compute_focus_distance(size, _DEMO_PITCH, _DEMO_WAVELENGTH)
+    extent = 0.35 * size * view_bin_spacing(size, _DEMO_PITCH, _DEMO_WAVELENGTH)
 
     stimuli = []
     mos_records = []
     for si, scene in enumerate(scenes):
         scene_rng = np.random.default_rng(seed + 1000 * si)
-        holo = synth_hologram(
-            _demo_points(scene, extent, focal_step, scene_rng),
-            size, size, pitch, wavelength,
-        )
+        points = _demo_points(scene, extent, focal_step, scene_rng)
+        holo = synth_hologram(points, size, size, _DEMO_PITCH, _DEMO_WAVELENGTH)
         ref_q = quantize_components(holo)
         ref_base = os.path.join(fields_dir, f"{scene}_ref")
         store_quantized(ref_q, ref_base)

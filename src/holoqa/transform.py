@@ -37,7 +37,6 @@ from .field import (
     HologramForm,
     WaveField,
     _check_keys,
-    extract_aperture,
     read_json_object,
     write_json,
 )
@@ -154,8 +153,7 @@ def fourier_to_fresnel(f: WaveField, m: int = 2) -> tuple[WaveField, ConversionP
     z = compute_focus_distance(max(rows, cols), pitch, f.wavelength, m)
     kernel = parabolic_kernel(rows, cols, pitch, f.wavelength, z)
     plan = ConversionPlan(m, z, f.rows, f.cols, rows, cols, pitch, f.wavelength)
-    out = WaveField(kernel * up, pitch, f.wavelength, HologramForm.FRESNEL, f.focus_offset)
-    return out, plan
+    return WaveField(kernel * up, pitch, f.wavelength, HologramForm.FRESNEL), plan
 
 
 def fresnel_to_fourier(f: WaveField, plan: ConversionPlan) -> WaveField:
@@ -169,13 +167,7 @@ def fresnel_to_fourier(f: WaveField, plan: ConversionPlan) -> WaveField:
         )
     kernel = parabolic_kernel(f.rows, f.cols, plan.target_pitch, plan.wavelength, plan.z)
     down = downsample_grid(np.conj(kernel) * f.data, plan.m)
-    return WaveField(
-        down,
-        plan.target_pitch * plan.m,
-        plan.wavelength,
-        HologramForm.FOURIER,
-        f.focus_offset,
-    )
+    return WaveField(down, plan.target_pitch * plan.m, plan.wavelength, HologramForm.FOURIER)
 
 
 def nominal_focus_distance(f: WaveField) -> float:
@@ -200,19 +192,25 @@ def refocus_kernel(rows: int, cols: int, pitch: float, wavelength: float,
 
 def reconstruct_view(f: WaveField, ap: ApertureSpec | None = None,
                      focal_offset: float = 0.0) -> np.ndarray:
-    """Render the amplitude of a view: |centered DFT(aperture * Q(delta))|.
+    """Render the amplitude of a view: |centered DFT(aperture * Q(delta))|,
+    the aperture being the window ``ap`` of ``f`` (all of it when None).
+    Raises ApertureOutOfBounds unless the window fits.
 
     Fourier-form holograms only; callers holding a Fresnel field convert it
     back with its plan first.
     """
     if f.form is not HologramForm.FOURIER:
         raise FormMismatch("reconstruct_view requires a Fourier-form hologram")
-    sub = extract_aperture(f, ap) if ap is not None else f
-    q = refocus_kernel(
-        sub.rows, sub.cols, sub.pixel_pitch, sub.wavelength,
-        focal_offset, nominal_focus_distance(f),
-    )
-    spectrum = np.fft.fftshift(sp_fft.fft2(np.fft.ifftshift(sub.data * q), overwrite_x=True))
+    data = f.data
+    if ap is not None:
+        ap.check_inside(f.rows, f.cols)
+        data = data[ap.row_offset : ap.row_offset + ap.height,
+                    ap.col_offset : ap.col_offset + ap.width]
+    if focal_offset != 0.0:
+        q = refocus_kernel(*data.shape, f.pixel_pitch, f.wavelength,
+                           focal_offset, nominal_focus_distance(f))
+        data = data * q
+    spectrum = np.fft.fftshift(sp_fft.fft2(np.fft.ifftshift(data), overwrite_x=True))
     return np.abs(spectrum)
 
 
@@ -248,7 +246,6 @@ def store_view(pixels: np.ndarray, path: str, clip_bound: float, aperture: Apert
             "col_offset": aperture.col_offset,
             "height": aperture.height,
             "width": aperture.width,
-            "label": aperture.label.value,
         },
     })
 

@@ -1,5 +1,7 @@
 """Tests for the hologram data model, quantization and file I/O."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,12 +14,10 @@ from holoqa.errors import (
     UnsupportedFormat,
 )
 from holoqa.field import (
-    ApertureLabel,
     ApertureSpec,
     HologramForm,
     WaveField,
     dequantize_components,
-    extract_aperture,
     extract_aperture_quantized,
     load_field,
     load_quantized,
@@ -25,6 +25,7 @@ from holoqa.field import (
     store_field,
     store_quantized,
 )
+from holoqa.transform import reconstruct_view
 
 
 def _random_field(rng, rows=32, cols=48, **kw):
@@ -104,39 +105,36 @@ class TestQuantization:
         assert np.array_equal(back.data, data)
 
     def test_metadata_preserved(self):
-        f = _random_field(np.random.default_rng(3), focus_offset=0.01)
+        f = _random_field(np.random.default_rng(3))
         q = quantize_components(f)
         back = dequantize_components(q)
         assert back.pixel_pitch == f.pixel_pitch
         assert back.wavelength == f.wavelength
         assert back.form is f.form
-        assert back.focus_offset == 0.01
 
 
 class TestAperture:
     def test_center_placement(self):
-        ap = ApertureSpec.center(100, 60, 40, 20)
+        ap = ApertureSpec.for_view("center", 100, 60, (40, 20))
         assert (ap.row_offset, ap.col_offset) == (30, 20)
-        assert ap.label is ApertureLabel.CENTER
 
     def test_right_corner_placement(self):
-        ap = ApertureSpec.right_corner(100, 60, 40, 20)
+        ap = ApertureSpec.for_view("corner", 100, 60, (40, 20))
         assert (ap.row_offset, ap.col_offset) == (60, 40)
-        assert ap.label is ApertureLabel.RIGHT_CORNER
 
     def test_extract_matches_slice(self):
         f = _random_field(np.random.default_rng(4), 40, 40)
         ap = ApertureSpec(5, 7, 10, 12)
-        sub = extract_aperture(f, ap)
-        assert np.array_equal(sub.data, f.data[5:15, 7:19])
+        sub = WaveField(f.data[5:15, 7:19], f.pixel_pitch, f.wavelength, f.form)
+        assert np.array_equal(reconstruct_view(f, ap), reconstruct_view(sub))
 
     def test_out_of_bounds_rejected(self):
         f = _random_field(np.random.default_rng(5), 16, 16)
         with pytest.raises(ApertureOutOfBounds,
                            match=r"^10x8 window at \(10, 0\) does not fit a 16x16 field$"):
-            extract_aperture(f, ApertureSpec(10, 0, 10, 8))
+            reconstruct_view(f, ApertureSpec(10, 0, 10, 8))
         with pytest.raises(ApertureOutOfBounds):
-            extract_aperture(f, ApertureSpec(-1, 0, 4, 4))
+            reconstruct_view(f, ApertureSpec(-1, 0, 4, 4))
 
     def test_quantized_crop_keeps_affines(self):
         q = quantize_components(_random_field(np.random.default_rng(6), 32, 32))
@@ -151,13 +149,25 @@ class TestFileIO:
         # float32-representable values so the f32 round trip is bit exact
         data = (rng.normal(size=(16, 24)) + 1j * rng.normal(size=(16, 24)))
         data = data.astype(np.complex64).astype(np.complex128)
-        f = WaveField(data, 8e-6, 640e-9, HologramForm.FRESNEL, 0.02)
+        f = WaveField(data, 8e-6, 640e-9, HologramForm.FRESNEL)
         base = str(tmp_path / "field")
         store_field(f, base)
         back = load_field(base)
         assert np.array_equal(back.data, f.data)
         assert back.form is HologramForm.FRESNEL
-        assert back.focus_offset == 0.02
+
+    def test_sidecar_with_focus_offset_loads(self, tmp_path):
+        # older sidecars hold a focus_offset key; like any unknown key it is
+        # ignored
+        q = quantize_components(_random_field(np.random.default_rng(12)))
+        base = str(tmp_path / "old")
+        store_quantized(q, base)
+        meta_path = tmp_path / "old.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps(dict(meta, focus_offset=0.02)))
+        back = load_quantized(base)
+        assert np.array_equal(back.real_plane, q.real_plane)
+        assert back.imag_affine == q.imag_affine
 
     def test_quantized_round_trip_bit_exact(self, tmp_path):
         q = quantize_components(_random_field(np.random.default_rng(8)))

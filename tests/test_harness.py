@@ -34,7 +34,7 @@ from holoqa.errors import (
     NoOverlap,
     UnknownMetric,
 )
-from holoqa.field import HologramForm, WaveField, quantize_components
+from holoqa.field import ApertureSpec, HologramForm, WaveField, quantize_components
 from holoqa.harness import (
     TrackConfig,
     emit_report,
@@ -250,7 +250,7 @@ def _watched_renders(monkeypatch, manifest, hook):
     worker (a distorted version) calls ``hook(k, on_worker)`` first."""
     (entry,) = manifest.stimuli
     q = manifest.load_reference(entry)
-    sites = [(harness.view_aperture(view, q.rows, q.cols, entry.aperture_size), offset)
+    sites = [(ApertureSpec.for_view(view, q.rows, q.cols, entry.aperture_size), offset)
              for view in manifest.views for offset in entry.focal_offsets]
     render = harness.reconstruct_view
 
@@ -623,6 +623,7 @@ BAD_INPUTS = {
     "mos-non-finite": _bad_mos(_set_first_row("std", "nan")),
     "mos-negative-std": _bad_mos(_set_first_row("std", "-1")),
     "mos-zero-n": _bad_mos(_set_first_row("n", "0")),
+    "mos-negative-focal": _bad_mos(_set_first_row("focal_index", "-3")),
     "mos-duplicate-key": _bad_mos(lambda rows: rows.append(list(rows[1]))),
     "mos-outside-scale": _bad_mos(_set_first_row("mos", "9.0")),
     "manifest-no-reference": _bad_manifest(

@@ -32,9 +32,7 @@ class TestSynthesis:
 
     def test_point_reconstructs_at_its_position(self):
         n = 128
-        probe = WaveField(np.ones((n, n), dtype=complex), _PITCH, _WL,
-                          HologramForm.FOURIER)
-        dx = view_bin_spacing(probe)
+        dx = view_bin_spacing(n, _PITCH, _WL)
         # place a point 10 bins right and 6 bins down of center
         h = synth_hologram([ScenePoint(10 * dx, 6 * dx)], n, n, _PITCH, _WL)
         amp = reconstruct_view(h)

@@ -169,7 +169,7 @@ class TestReconstruction:
 
     def test_aperture_restricts_grid(self):
         f = _random_field(np.random.default_rng(8), 64, 64)
-        amp = reconstruct_view(f, ApertureSpec.center(64, 64, 32, 32))
+        amp = reconstruct_view(f, ApertureSpec.for_view("center", 64, 64, (32, 32)))
         assert amp.shape == (32, 32)
 
     def test_requires_fourier_form(self):
@@ -226,3 +226,4 @@ class TestViewIO:
         meta = json.loads((tmp_path / "view.pgm.json").read_text())
         assert meta["source_id"] == "demo"
         assert meta["clip_bound"] == bound
+        assert meta["aperture"] == {"row_offset": 0, "col_offset": 0, "height": 8, "width": 8}
