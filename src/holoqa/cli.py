@@ -38,6 +38,7 @@ from .transform import (
     fourier_to_fresnel,
     fresnel_to_fourier,
     load_gray_pgm,
+    nominal_focus_distance,
     read_plan,
     reconstruct_view,
     store_gray_pgm,
@@ -135,7 +136,8 @@ def _cmd_reconstruct(args) -> int:
     amp = reconstruct_view(field, ap, args.focal_offset)
     bound = view_clip_bound(amp, args.clip_percentile)
     store_view(clip_and_quantize_view(amp, bound), args.out, bound, ap,
-               args.focal_offset, os.path.basename(args.input))
+               args.focal_offset, nominal_focus_distance(field),
+               os.path.basename(args.input))
     print(args.out)
     return 0
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import stdtr
+from scipy.special import expit, stdtr
 
 from .errors import CorruptInput, DegenerateRanks, StimulusMismatch
 
@@ -169,11 +169,49 @@ def krcc(x, y) -> float:
 
 # ---------------------------------------------------------------------------
 # 4-parameter logistic fit
+#
+# For fixed (b3, |b4|) the model is linear in (b1, b2), so the fit searches
+# the two shape parameters and takes (b1, b2) in closed form: variable
+# projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973). The search
+# runs on the scores less their median, divided by their span, so the offset
+# and scale of a metric's scores do not steer it.
+
+# Beyond |u| = TAIL_U the sigmoid equals its exponential tail to double
+# precision (exp(-40) < 2**-57), so an optimum at b3 = +-inf is represented
+# by b3 placed TAIL_U * |b4| beyond the scores, and a step by |b4| below
+# 1 / (2 * TAIL_U) of the smallest gap between scores.
+TAIL_U = 40.0
+# |b4| of the line limit, in score spans: over the scores |u| < 1.7e-5, where
+# the sigmoid's cubic term and the round-off of b1, b2 ~ 1/u both stay near
+# 1e-11 of the fitted range.
+LINE_WIDTH = 3e4
+_GRID_PER_DECADE = 3      # grid rows per decade of |b4|
+_GRID_WIDTH = 10.0        # widest |b4| of the grid, in score spans
+_GRID_BYTES = 1 << 20     # largest temporary of the grid
+_BASINS = 3               # grid minima polished
+_FD = 1e-4                # central-difference step of the polish, in units of u
+# (w, t) offsets of the central differences, in units of _FD
+_STENCIL = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                     [1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+# damping of the Newton step, relative to the Hessian's diagonal, one trial
+# step each; the least-damped step is also tried stretched
+_DAMPING = 10.0 ** np.arange(-12.0, 6.1, 0.75)
+_STRETCH = np.array([[2.0], [4.0], [8.0]])
+_TAIL_JUMP = 8.0          # |b4|s beyond the end score from which a start may take a tail
+_HORIZON = 10             # steps a start gets to reach the lowest residual at its pace
+_MAX_STEPS = 200          # polish steps per fit
+_RTOL = 1e-13             # a step that lowers the residual less ends a start
+
 
 @dataclass(frozen=True)
 class LogisticFit:
     """Monotone 4-parameter logistic predictor
-    f(x) = b1 + (b2 - b1) / (1 + exp(-(x - b3)/|b4|))."""
+    f(x) = b1 + (b2 - b1) / (1 + exp(-(x - b3)/|b4|)).
+
+    ``converged`` is False when the least-squares optimum lies at infinity,
+    so the parameters hold its limit: an exponential tail (b3 placed
+    ``TAIL_U * |b4|`` beyond the scores) or a line (|b4| at ``LINE_WIDTH``
+    score spans). It is also False if the polish runs out of steps."""
 
     b1: float
     b2: float
@@ -184,40 +222,220 @@ class LogisticFit:
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        return _logistic(np.array([self.b1, self.b2, self.b3, self.b4]), x)
+        return _logistic((self.b1, self.b2, self.b3, self.b4), x)
 
 
 def _logistic(beta, x):
+    # b1 (1 - s) + b2 s, with 1 - s = expit(-u) computed directly, so the
+    # upper tail keeps its digits as the lower one does
     b1, b2, b3, b4 = beta
     u = (x - b3) / abs(b4)
-    # clipped to avoid overflow in exp; the sigmoid saturates anyway
-    s = 1.0 / (1.0 + np.exp(-np.clip(u, -500.0, 500.0)))
-    return b1 + (b2 - b1) * s
+    return b1 * expit(-u) + b2 * expit(u)
 
 
-def _logistic_jacobian(beta, x):
-    b1, b2, b3, b4 = beta
-    a4 = abs(b4)
-    u = (x - b3) / a4
-    s = 1.0 / (1.0 + np.exp(-np.clip(u, -500.0, 500.0)))
-    sp = s * (1.0 - s)
-    j = np.empty((x.size, 4))
-    j[:, 0] = 1.0 - s
-    j[:, 1] = s
-    j[:, 2] = -(b2 - b1) * sp / a4
-    j[:, 3] = -(b2 - b1) * sp * u / a4 * np.sign(b4)
-    return j
+@dataclass(frozen=True)
+class _Frame:
+    """The working coordinates of one fit: the scores less their median and
+    divided by their span (so scores near the median keep their
+    differences to full precision), the centred MOS, the centre and half
+    width of the scores' range, and the range [t_lo, t_hi] of log|b4|.
+
+    The search runs on (w, t = log|b4|), with b3 = mid + w * (half + TAIL_U *
+    |b4|): w = -1 and w = +1 are the two tail limits at every |b4|. Shapes
+    (b3, a = |b4|) hold one shape per leading index with a trailing axis of
+    length 1."""
+
+    xs: np.ndarray
+    yc: np.ndarray
+    mid: float
+    half: float
+    t_lo: float
+    t_hi: float
+
+    def b3(self, w, a):
+        return self.mid + w * (self.half + TAIL_U * a)
+
+    def column(self, b3, a):
+        """The sigmoid column that is small over most scores: s = expit(u)
+        when b3 lies above the middle of the scores, else 1 - s = expit(-u),
+        so an exponential tail keeps its digits."""
+        return expit((self.xs - b3) * (np.where(b3 >= self.mid, 1.0, -1.0) / a))
+
+    def rss(self, b3, a):
+        """Residual sum of squares of the best b1 + (b2 - b1) s at (b3, a)."""
+        v = self.column(b3, a)
+        v = v - v.mean(axis=-1, keepdims=True)
+        svv = np.sum(v * v, axis=-1, keepdims=True)
+        r = self.yc - v * (v @ self.yc)[..., None] / np.where(svv > 0.0, svv, np.inf)
+        return np.sum(r * r, axis=-1)
+
+    def grid_rss(self, b3, a):
+        """``rss`` from moment sums of the uncentred column: faster, and
+        exact to round-off of the MOS variance, all a grid ranking needs."""
+        v = self.column(b3, a)
+        sv = np.sum(v, axis=-1)
+        svv = np.einsum("...i,...i->...", v, v) - sv * sv / self.xs.size
+        svy = v @ self.yc
+        return self.yc @ self.yc - svy * svy / np.where(svv > 0.0, svv, np.inf)
+
+
+def _grid_starts(frame: _Frame):
+    """(w, log|b4|) of the starts of the polish: the lowest _BASINS local
+    minima of the residual over a grid, and one start on each shoulder.
+
+    The grid's b3 takes, per distinct score, the points 3 |b4| below and
+    above it and the midpoint to the next score (where a small |b4| gives an
+    exact step), one |b4| and a quarter span beyond either end, and the two
+    tail limits; |b4| is log-spaced from t_lo to _GRID_WIDTH spans. It is
+    evaluated a block of points at a time, so no temporary exceeds
+    _GRID_BYTES. A shoulder start lies one |b4| beyond an end score, at the
+    |b4| where that end's tail fits best: a finite basin often lies there,
+    between the grid's columns."""
+    distinct = np.unique(frame.xs)
+    t_top = np.log(_GRID_WIDTH)
+    t = np.linspace(frame.t_lo, t_top, 1 + int(np.ceil(
+        _GRID_PER_DECADE * (t_top - frame.t_lo) / np.log(10.0))))[:, None]
+    a = np.exp(t)
+    mids = np.append(0.5 * (distinct[1:] + distinct[:-1]), np.nan)
+    inner = np.stack([distinct - 3.0 * a, distinct + 3.0 * a,
+                      np.broadcast_to(mids, (t.size, mids.size))],
+                     axis=-1).reshape(t.size, -1)[:, :-1]
+    b3 = np.hstack([np.full_like(t, distinct[0] - 0.25), distinct[0] - a, inner,
+                    distinct[-1] + a, np.full_like(t, distinct[-1] + 0.25)])
+    w = np.hstack([-np.ones_like(t), (b3 - frame.mid) / (frame.half + TAIL_U * a),
+                   np.ones_like(t)])
+    flat_b3 = frame.b3(w, a).reshape(-1, 1)
+    flat_a = np.broadcast_to(a, w.shape).reshape(-1, 1)
+    rss = np.empty(w.size)
+    chunk = max(1, _GRID_BYTES // (8 * frame.xs.size))
+    for i in range(0, w.size, chunk):
+        rss[i:i + chunk] = frame.grid_rss(flat_b3[i:i + chunk], flat_a[i:i + chunk])
+    rss = rss.reshape(w.shape)
+    padded = np.pad(rss, 1, constant_values=np.inf)
+    minimal = np.ones(rss.shape, dtype=bool)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            minimal &= rss <= padded[di:di + rss.shape[0], dj:dj + rss.shape[1]]
+    rows, cols = np.nonzero(minimal)
+    order = np.argsort(rss[rows, cols], kind="stable")
+    _, first = np.unique(rss[rows, cols][order], return_index=True)
+    pick = order[np.sort(first)[:_BASINS]]
+    ends = np.argmin(rss[:, [0, -1]], axis=0)
+    shoulder = np.array([distinct[0] - a[ends[0], 0], distinct[-1] + a[ends[1], 0]])
+    return (np.concatenate([w[rows[pick], cols[pick]],
+                            (shoulder - frame.mid) / (frame.half + TAIL_U * a[ends, 0])]),
+            np.concatenate([t[rows[pick], 0], t[ends, 0]]))
+
+
+def _polish(frame: _Frame, w, t):
+    """Damped Newton on (w, log|b4|) of every start at once.
+
+    The gradient of the residual is exact; its curvature is taken both as
+    Gauss-Newton's and as the Hessian by central differences on _STENCIL.
+    Each step tries the Newton step of either curvature under each damping
+    of _DAMPING (and the least-damped ones stretched by _STRETCH), and the
+    limits the start may head to; the start moves to the lowest residual if
+    it is lower. A step that crosses a bound of (w, t) ends on it, so a limit
+    is reached exactly. A start stops when a step lowers its residual by
+    less than _RTOL, or when, at its last step's pace, it would not reach
+    the lowest residual within _HORIZON steps. Returns w, t, the residual
+    sums of squares and whether each start stopped by the _RTOL rule."""
+    a_lo = np.exp(frame.t_lo)
+    all_w, all_t = np.clip(w, -1.0, 1.0), np.clip(t, frame.t_lo, frame.t_hi)
+    all_a = np.exp(all_t)[:, None]
+    all_rss = frame.rss(frame.b3(all_w[:, None], all_a), all_a)
+    active = np.ones(all_w.size, dtype=bool)
+    settled = np.zeros(all_w.size, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        w, t, rss = all_w[idx, None], all_t[idx, None], all_rss[idx]
+        a = np.exp(t)
+        b3 = frame.b3(w, a)
+        # derivatives in units where a step of one moves u by about one: w
+        # by hw = a / (half + TAIL_U a), t by 1. The model is mean(y) + d vc,
+        # so df/d(w, t) = d v (1 - v) dsu/d(w, t) and the gradient
+        # -2 r . df/d(w, t) is exact
+        sign = np.where(b3 >= frame.mid, 1.0, -1.0)
+        su = (frame.xs - b3) * (sign / a)
+        v = expit(su)
+        vc = v - v.mean(axis=-1, keepdims=True)
+        svv = np.sum(vc * vc, axis=-1, keepdims=True)
+        svv[svv == 0.0] = np.inf       # a constant column fits nothing: d = 0
+        d = (vc @ frame.yc)[:, None] / svv
+        hw = a / (frame.half + TAIL_U * a)
+        jac = -(d * v * (1.0 - v))[:, None] * np.stack(
+            [np.broadcast_to(sign * (frame.half + TAIL_U * a) / a * hw, su.shape),
+             su + sign * TAIL_U * w], axis=1)
+        grad = -2.0 * (jac @ (frame.yc - d * vc)[..., None])[..., 0]
+        # two curvatures: the Gauss-Newton one, 2 J'J with J projected off
+        # (1, v) (Kaufman's form), and the Hessian by central differences
+        jac -= jac.mean(axis=-1, keepdims=True)
+        jac -= vc[:, None] * (jac @ vc[..., None]) / svv[:, None]
+        sa = np.exp(t + _FD * _STENCIL[:, 1])
+        f = frame.rss(frame.b3(w + _FD * hw * _STENCIL[:, 0], sa)[..., None],
+                      sa[..., None])
+        fd = np.stack([f[:, 0] - 2.0 * rss + f[:, 1],
+                       (f[:, 4] - f[:, 5] - f[:, 6] + f[:, 7]) / 4.0,
+                       f[:, 2] - 2.0 * rss + f[:, 3]], axis=-1) / _FD ** 2
+        gn = 2.0 * jac @ jac.transpose(0, 2, 1)
+        h11 = np.stack([gn[:, 0, 0], fd[:, 0]], axis=1)[..., None]
+        h12 = np.stack([gn[:, 0, 1], fd[:, 1]], axis=1)[..., None]
+        h22 = np.stack([gn[:, 1, 1], fd[:, 2]], axis=1)[..., None]
+        g1, g2 = grad[:, None, :1], grad[:, None, 1:]
+        m = _DAMPING * np.maximum(np.abs(h11), np.abs(h22))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = (h11 + m) * (h22 + m) - h12 * h12
+            step = -np.stack([((h22 + m) * g1 - h12 * g2) / det * hw[:, None],
+                              ((h11 + m) * g2 - h12 * g1) / det], axis=-1)
+        step[~np.isfinite(step)] = 0.0
+        step = np.concatenate([step, _STRETCH * step[:, :, :1]], axis=2).reshape(
+            idx.size, -1, 2)
+        # the limits: both tails at the start's |b4| and at the least-damped
+        # step's, the line at its w, and the step at the smallest |b4| with u
+        # kept at the score nearest b3 (that score partway between b1, b2)
+        near = frame.xs[np.argmin(np.abs(frame.xs - b3), axis=-1)][:, None]
+        one = np.ones_like(w)
+        t_step = t + step[:, 0, 1:]
+        limits = [(one, t), (-one, t), (one, t_step), (-one, t_step),
+                  (w, one * frame.t_hi),
+                  ((near + (b3 - near) * (a_lo / a) - frame.mid)
+                   / (frame.half + TAIL_U * a_lo), one * frame.t_lo)]
+        tw = np.clip(np.concatenate([w[:, None] + step[..., :1],
+                                     np.stack([lw for lw, _ in limits], axis=1)], axis=1),
+                     -1.0, 1.0)
+        tt = np.clip(np.concatenate([t[:, None] + step[..., 1:],
+                                     np.stack([lt for _, lt in limits], axis=1)], axis=1),
+                     frame.t_lo, frame.t_hi)
+        ta = np.exp(tt)
+        trial = frame.rss(frame.b3(tw, ta), ta)
+        # a start takes a tail only from _TAIL_JUMP |b4| beyond the end
+        # score, so a finite basin just short of the tail is not skipped
+        short = ((b3 - frame.mid) * np.sign(w) - frame.half < _TAIL_JUMP * a)[:, 0]
+        trial[short, -len(limits):-2] = np.inf
+        pick = (np.arange(idx.size), np.argmin(trial, axis=1))
+        new = trial[pick]
+        take = new < rss
+        all_w[idx[take]], all_t[idx[take]] = tw[pick][take, 0], tt[pick][take, 0]
+        all_rss[idx[take]] = new[take]
+        done = new >= rss * (1.0 - _RTOL)
+        settled[idx[done]] = True
+        slow = new - (rss - new) * _HORIZON >= all_rss.min()
+        active[idx[done | slow]] = False
+    return all_w, all_t, all_rss, settled
 
 
 def fit_logistic4(scores, mos) -> LogisticFit:
     """Least-squares 4-parameter logistic fit of MOS against metric scores.
 
-    Tries the standard initialization and its direction-flipped twin (for
-    anti-correlated metrics), keeping the lowest-residual solution.
+    A grid over (b3, log|b4|) picks the basins of the residual; a damped
+    Newton polish refines them, the standard start (b3 at the median score,
+    |b4| a quarter of the scores' standard deviation) and the two shoulder
+    starts, and the lowest residual wins. The sign of b2 - b1 comes out of
+    the closed form, so increasing and decreasing relations need no separate
+    starts.
     """
-    # imported here, so `import holoqa.cli` does not load scipy.optimize
-    from scipy.optimize import least_squares
-
     x = np.asarray(scores, dtype=np.float64)
     y = np.asarray(mos, dtype=np.float64)
     if x.size < 5 or x.shape != y.shape:
@@ -225,16 +443,41 @@ def fit_logistic4(scores, mos) -> LogisticFit:
     if np.all(x == x[0]):
         raise DegenerateRanks("constant scores; logistic fit undefined")
 
-    b3 = float(np.median(x))
-    b4 = float(np.std(x) / 4.0) or 1.0
-    lo, hi = float(np.min(y)), float(np.max(y))
-    fits = [least_squares(lambda b: _logistic(b, x) - y, beta0,
-                          jac=lambda b: _logistic_jacobian(b, x), method="lm")
-            for beta0 in ([lo, hi, b3, b4], [hi, lo, b3, b4])]
-    best = min(fits, key=lambda res: np.linalg.norm(res.fun))
-    b1, b2, b3, b4 = (float(v) for v in best.x)
-    return LogisticFit(b1, b2, b3, b4, bool(best.status > 0),
-                       float(np.linalg.norm(best.fun)))
+    centre = float(np.median(x))
+    span = float(np.max(x)) - float(np.min(x))
+    xs = (x - centre) / span
+    lo, hi = float(np.min(xs)), float(np.max(xs))
+    # |b4| reaches the step limit at the smallest gap between scores, or at
+    # the resolution of the unit span where a gap falls below it
+    gap = max(float(np.min(np.diff(np.unique(xs)))), 2.0 ** -52)
+    frame = _Frame(xs, y - np.mean(y), 0.5 * (lo + hi), 0.5 * (hi - lo),
+                   float(np.log(gap / (2.0 * TAIL_U))), float(np.log(LINE_WIDTH)))
+    grid_w, grid_t = _grid_starts(frame)
+    a0 = np.std(xs) / 4.0
+    w, t, rss, settled = _polish(
+        frame, np.append(grid_w, -frame.mid / (frame.half + TAIL_U * a0)),
+        np.append(grid_t, np.log(a0)))
+    k = int(np.argmin(rss))
+    w, t = w[k], t[k]
+    # an optimum the limit matches to _RTOL is reported as that limit: the
+    # tail on the side of b3, or the line
+    for lw, lt in ((np.sign(w) or 1.0, t), (w, frame.t_hi)):
+        la = np.full((1, 1), np.exp(lt))
+        if frame.rss(frame.b3(lw, la), la)[0] <= rss[k] * (1.0 + _RTOL):
+            w, t = lw, lt
+    a = float(np.exp(t))
+    b3 = float(frame.b3(w, a))
+    # (b1, b2) by least squares on the columns (1 - s, s), each scaled to
+    # unit norm, so a tail's tiny column keeps its weight
+    u = (xs - b3) / a
+    cols = np.stack([expit(-u), expit(u)], axis=1)
+    norms = np.linalg.norm(cols, axis=0)
+    norms[norms == 0.0] = 1.0
+    b1, b2 = np.linalg.lstsq(cols / norms, y, rcond=None)[0] / norms
+    beta = (float(b1), float(b2), centre + span * b3, span * a)
+    at_limit = abs(w) == 1.0 or t == frame.t_hi
+    return LogisticFit(*beta, bool(settled[k] and not at_limit),
+                       float(np.linalg.norm(y - _logistic(beta, x))))
 
 
 def rmse_fitted(pred, mos) -> float:

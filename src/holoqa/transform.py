@@ -234,12 +234,15 @@ def clip_and_quantize_view(amp: np.ndarray, bound: float) -> np.ndarray:
 # PGM persistence for rendered views
 
 def store_view(pixels: np.ndarray, path: str, clip_bound: float, aperture: ApertureSpec,
-               focal_distance: float, source_id: str) -> None:
-    """Write a binary P5 PGM plus a JSON sidecar with the view metadata."""
+               focal_offset: float, nominal_distance: float, source_id: str) -> None:
+    """Write a binary P5 PGM plus a JSON sidecar with the view metadata: the
+    focal offset the view was rendered at (meters from the nominal plane) and
+    the absolute focus distance, nominal distance plus offset."""
     store_gray_pgm(pixels, path)
     write_json(path + ".json", {
         "clip_bound": clip_bound,
-        "focal_distance": focal_distance,
+        "focal_offset": focal_offset,
+        "focus_distance": nominal_distance + focal_offset,
         "source_id": source_id,
         "aperture": {
             "row_offset": aperture.row_offset,

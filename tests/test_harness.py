@@ -716,6 +716,25 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["[]", "1"]
 
+    def test_bench_fits_without_loading_optimize(self, tmp_path):
+        # a whole qa4 run, logistic fits included, in a fresh interpreter
+        root = str(tmp_path)
+        manifest = generate_demo_dataset(root, scenes=("dots",), bits_levels=(7, 6),
+                                         seed=1234)
+        rep = os.path.join(root, "rep")
+        out = _python("-c", "import sys, holoqa.cli; code = holoqa.cli.main(["
+                            f"'bench', '--manifest', {manifest!r}, '--mos', "
+                            f"{os.path.join(root, 'mos.csv')!r}, '--track', 'qa4', "
+                            f"'--out', {rep!r}]); "
+                            "print(code, [m for m in sys.modules "
+                            "if m.startswith('scipy.optimize')])")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "0 []"
+        with open(os.path.join(rep, "qa4_OPT_criteria.csv"), newline="",
+                  encoding="utf-8") as fh:
+            rmse = [float(r["rmse"]) for r in csv.DictReader(fh)]
+        assert rmse and all(np.isfinite(rmse))
+
     def test_unknown_metric_exit_2_lists_registry(self, demo_dataset):
         out = _run_module("bench", "--manifest", demo_dataset["manifest"],
                           "--mos", demo_dataset["mos"], "--track", "qa1",
@@ -798,6 +817,19 @@ class TestCli:
         lines = dict(l.split("\t") for l in out.stdout.strip().splitlines())
         assert float(lines["mse_C"]) == 0.0
         assert lines["psnr_C"].strip() == "inf"
+
+    def test_reconstruct_sidecar_records_offset_and_focus_distance(self, demo_dataset,
+                                                                    tmp_path):
+        from holoqa.field import load_any_field
+        from holoqa.transform import nominal_focus_distance
+
+        base = os.path.join(demo_dataset["root"], "fields", "dots_ref")
+        view = tmp_path / "v.pgm"
+        assert _cli("reconstruct", "--in", base, "--out", str(view), "--view", "center",
+                    "--aperture", "192", "192", "--focal-offset", "0.001").returncode == 0
+        meta = json.loads((tmp_path / "v.pgm.json").read_text())
+        assert meta["focal_offset"] == 0.001
+        assert meta["focus_distance"] == nominal_focus_distance(load_any_field(base)) + 0.001
 
     def test_denoise_round_trip(self, demo_dataset, tmp_path):
         base = os.path.join(demo_dataset["root"], "fields", "bars_ref")

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import rankdata
 
 from holoqa.errors import DegenerateRanks, StimulusMismatch
+from holoqa.harness import TRACKS, _matched_mos, _mos_lookup
 from holoqa.stats import (
     ASCENDING_CRITERIA,
     CI_MULTIPLIER,
@@ -18,6 +19,7 @@ from holoqa.stats import (
     Display,
     LogisticFit,
     MosRecord,
+    _definite_scores,
     evaluate_metric,
     fit_logistic4,
     krcc,
@@ -209,6 +211,25 @@ class TestMidranks:
         _assert_rankdata_ranks(np.array([], dtype=np.float64))
 
 
+def _best_step_residual(x, y):
+    """Residual norm of the best two-level fit split at one threshold between
+    distinct scores: the |b4| -> 0 limit of the logistic."""
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    best = np.inf
+    for i in np.flatnonzero(xs[1:] != xs[:-1]) + 1:
+        lo, hi = ys[:i], ys[i:]
+        best = min(best, np.sum((lo - lo.mean()) ** 2) + np.sum((hi - hi.mean()) ** 2))
+    return float(np.sqrt(best))
+
+
+def _line_residual(x, y):
+    """Residual norm of the least-squares line: the |b4| -> inf limit."""
+    design = np.column_stack([np.ones_like(x), x - x.mean()])
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    return float(np.linalg.norm(y - design @ coef))
+
+
 class TestLogisticFit:
     def test_recovers_known_parameters(self):
         rng = np.random.default_rng(3)
@@ -247,15 +268,42 @@ class TestLogisticFit:
         fit = fit_logistic4(x, np.exp(3.0 * x))
         assert fit.converged is False
 
+    # scores on a quarter grid and maps whose products and sums are exact, so
+    # the mapped scores are the exact affine image of the drawn ones
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 30).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+        st.lists(st.floats(1.0, 5.0), min_size=n, max_size=n))),
+        st.sampled_from([2.0 ** -10, 0.5, 3.0, 2.0 ** 10]),
+        st.sampled_from([-1024.0, 0.0, 12.5]))
+    def test_reaches_step_and_line_and_ignores_affine_maps(self, xy, scale, shift):
+        x = np.array(xy[0]) / 4.0
+        y = np.array(xy[1])
+        assume(np.any(x != x[0]))
+        fit = fit_logistic4(x, y)
+        # round-off of the residual of an exact fit
+        slack = 1e-12 * np.linalg.norm(y)
+        for bound in (_best_step_residual(x, y), _line_residual(x, y)):
+            assert fit.residual_norm <= bound * (1.0 + 1e-6) + slack
+        mapped = fit_logistic4(scale * x + shift, y)
+        assert abs(mapped.residual_norm - fit.residual_norm) <= (
+            1e-9 * fit.residual_norm + slack)
 
-# Exempt from the per-fit check below: the former hand-rolled loop reached a
-# near-step here (|b4| = 8.7e-6, its threshold between two scores 5e-6
-# apart) that least_squares does not reach from the standard starts; its
-# rmse rose 0.435%. The criteria golden still pins the value.
-RMSE_EXEMPT = {("qa4", "2D", "ssrmt")}
+
 # rows where the hand-rolled loop stalled short of the optimum
 STALLED = {("qa2", "2D", "uqi"), ("qa1", "2D", "msssim"),
            ("qa1", "OPT", "uqi"), ("qa3", "2D", "nmse")}
+
+
+def _golden_rmse(keys):
+    """(track, display, metric) -> rmse of the criteria goldens."""
+    out = {}
+    for track, display in {key[:2] for key in keys}:
+        name = f"{track}_{display}_criteria.csv"
+        with open(os.path.join(GOLDEN_DIR, name), newline="", encoding="utf-8") as fh:
+            for r in csv.DictReader(fh):
+                out[(track, display, r["metric"])] = float(r["rmse"])
+    return out
 
 
 def test_demo_fits_no_worse_than_hand_rolled_loop():
@@ -266,18 +314,48 @@ def test_demo_fits_no_worse_than_hand_rolled_loop():
               encoding="utf-8") as fh:
         parent = {(r["track"], r["display"], r["metric"]): float(r["rmse"])
                   for r in csv.DictReader(fh)}
-    new = {}
-    for track, display in {key[:2] for key in parent}:
-        name = f"{track}_{display}_criteria.csv"
-        with open(os.path.join(GOLDEN_DIR, name), newline="", encoding="utf-8") as fh:
-            for r in csv.DictReader(fh):
-                new[(track, display, r["metric"])] = float(r["rmse"])
+    new = _golden_rmse(parent)
     assert len(parent) == 186 and set(new) == set(parent)
     for key, old in parent.items():
-        if key not in RMSE_EXEMPT:
-            assert new[key] <= old * (1.0 + 1e-4), (key, new[key], old)
+        assert new[key] <= old * (1.0 + 1e-4), (key, new[key], old)
     for key in STALLED:
         assert new[key] < 0.99 * parent[key], (key, new[key], parent[key])
+
+
+def _demo_fit_inputs(mos_path):
+    """(track, display, metric) -> (scores, MOS) of every logistic fit of the
+    demo dataset: the raw-score goldens matched to the demo MOS as run_track
+    matches them, with the +inf sentinel replaced as evaluate_metric does."""
+    by_key = _mos_lookup(read_mos_csv(mos_path))
+    fits = {}
+    for track in TRACKS:
+        samples = {}
+        with open(os.path.join(GOLDEN_DIR, f"{track}_raw_scores.csv"), newline="",
+                  encoding="utf-8") as fh:
+            for r in csv.DictReader(fh):
+                key = (r["stimulus_id"], r["view"], int(r["focal_index"]))
+                samples.setdefault(key, {})[r["metric"]] = float(r["value"])
+        for display in Display:
+            matched = [(scores, rec) for (sid, view, fi), scores in samples.items()
+                       if (rec := _matched_mos(by_key, sid, display, view, fi)) is not None]
+            for metric in matched[0][0]:
+                fits[(track, display.value, metric)] = (
+                    _definite_scores([s[metric] for s, _ in matched]),
+                    np.array([rec.mos for _, rec in matched]))
+    return fits
+
+
+def test_demo_fits_reach_step_and_line(demo_dataset):
+    """Every criteria-golden rmse of demo dataset 1234 is at or below the best
+    single-threshold step and the least-squares line of its fit's data,
+    within 1e-6 relative: both are limits of the logistic family."""
+    fits = _demo_fit_inputs(demo_dataset["mos"])
+    rmse = _golden_rmse(fits)
+    assert len(fits) == 186 and set(rmse) == set(fits)
+    for key, (x, y) in fits.items():
+        residual = rmse[key] * np.sqrt(x.size)
+        bound = min(_best_step_residual(x, y), _line_residual(x, y))
+        assert residual <= bound * (1.0 + 1e-6), (key, residual, bound)
 
 
 def _loop_outlier_ratio(pred, records):

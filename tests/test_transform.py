@@ -219,11 +219,14 @@ class TestViewIO:
         bound = view_clip_bound(ref, 100.0)
         px = clip_and_quantize_view(ref, bound)
         path = str(tmp_path / "view.pgm")
-        store_view(px, path, bound, ApertureSpec(0, 0, 8, 8), 0.0, "demo")
+        store_view(px, path, bound, ApertureSpec(0, 0, 8, 8), 0.001, 0.05, "demo")
         assert np.array_equal(load_gray_pgm(path), px)
         import json
 
         meta = json.loads((tmp_path / "view.pgm.json").read_text())
         assert meta["source_id"] == "demo"
         assert meta["clip_bound"] == bound
+        assert meta["focal_offset"] == 0.001
+        assert meta["focus_distance"] == 0.05 + 0.001
+        assert "focal_distance" not in meta
         assert meta["aperture"] == {"row_offset": 0, "col_offset": 0, "height": 8, "width": 8}
