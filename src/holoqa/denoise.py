@@ -15,6 +15,7 @@ import numpy as np
 from scipy.ndimage import uniform_filter
 
 from .errors import InvalidField, WindowTooLarge
+from .field import _NUMBER, _of_type
 
 AUTO = "auto"
 
@@ -25,11 +26,12 @@ class WienerParams:
     noise_variance: float | str = AUTO
 
     def __post_init__(self):
-        if self.window < 3 or self.window % 2 == 0:
-            raise InvalidField(f"window must be odd and >= 3, got {self.window}")
+        if not (_of_type(self.window, int) and self.window >= 3 and self.window % 2):
+            raise InvalidField(f"window must be an odd integer >= 3, got {self.window!r}")
         nv = self.noise_variance
-        if nv != AUTO and not (isinstance(nv, (int, float)) and nv >= 0):
-            raise InvalidField(f"noise_variance must be >= 0 or 'auto', got {nv!r}")
+        if nv != AUTO and not (_of_type(nv, _NUMBER) and nv >= 0):
+            raise InvalidField(
+                f"noise_variance must be a finite number >= 0 or 'auto', got {nv!r}")
 
 
 def local_moments(img, window):

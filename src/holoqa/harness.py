@@ -184,7 +184,8 @@ class TrackConfig:
     wiener: WienerParams = _dc_field(default_factory=WienerParams)
 
     def __post_init__(self):
-        _check_factor(self.upsample_m)
+        # an integral float (2.0) is kept as the int it names
+        object.__setattr__(self, "upsample_m", _check_factor(self.upsample_m))
         if not (_is_number(self.clip_percentile) and 0 <= self.clip_percentile <= 100):
             raise InvalidField(
                 f"clip_percentile must be a number in [0, 100], got {self.clip_percentile!r}"

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.ndimage import minimum_filter
 from scipy.special import expit, stdtr
 
 from .errors import CorruptInput, DegenerateRanks, StimulusMismatch
@@ -98,12 +99,12 @@ def write_mos_csv(records, path: str) -> None:
 # ---------------------------------------------------------------------------
 # correlation coefficients
 
-def _as_vectors(x, y, min_len=3):
+def _as_vectors(x, y):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1 or x.size < min_len:
+    if x.shape != y.shape or x.ndim != 1 or x.size < 3:
         raise DegenerateRanks(
-            f"need two equal-length vectors of >= {min_len} entries, "
+            "need two equal-length vectors of >= 3 entries, "
             f"got {x.shape} / {y.shape}"
         )
     return x, y
@@ -139,8 +140,6 @@ def midranks(x) -> np.ndarray:
 def srocc(x, y) -> float:
     """Spearman rank-order correlation: Pearson on mid-ranks (ties averaged)."""
     x, y = _as_vectors(x, y)
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise DegenerateRanks("constant vector; rank correlation undefined")
     return pcc(midranks(x), midranks(y))
 
 
@@ -148,8 +147,6 @@ def krcc(x, y) -> float:
     """Kendall's tau-b (tie-corrected) by explicit pair counting, one row of
     pairs (i, j > i) at a time so memory stays O(n)."""
     x, y = _as_vectors(x, y)
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise DegenerateRanks("constant vector; rank correlation undefined")
     concordant = discordant = tied_x = tied_y = 0
     for i in range(x.size - 1):
         # comparison-based signs stay defined for +/-inf sentinel scores
@@ -255,28 +252,28 @@ class _Frame:
     def b3(self, w, a):
         return self.mid + w * (self.half + TAIL_U * a)
 
-    def column(self, b3, a):
-        """The sigmoid column that is small over most scores: s = expit(u)
-        when b3 lies above the middle of the scores, else 1 - s = expit(-u),
-        so an exponential tail keeps its digits."""
-        return expit((self.xs - b3) * (np.where(b3 >= self.mid, 1.0, -1.0) / a))
+    def w(self, b3, a):
+        """The inverse of ``b3``."""
+        return (b3 - self.mid) / (self.half + TAIL_U * a)
+
+    def project(self, b3, a):
+        """sign, su = sign * u, the column v = expit(su), v centred (vc) and
+        svv = |vc|^2, inf for a constant column (it fits nothing). v is s when
+        b3 lies above the middle of the scores, else 1 - s = expit(-u), so
+        the column is small over most scores and a tail keeps its digits."""
+        sign = np.where(b3 >= self.mid, 1.0, -1.0)
+        su = (self.xs - b3) * (sign / a)
+        v = expit(su)
+        vc = v - v.mean(axis=-1, keepdims=True)
+        svv = np.sum(vc * vc, axis=-1, keepdims=True)
+        svv[svv == 0.0] = np.inf
+        return sign, su, v, vc, svv
 
     def rss(self, b3, a):
         """Residual sum of squares of the best b1 + (b2 - b1) s at (b3, a)."""
-        v = self.column(b3, a)
-        v = v - v.mean(axis=-1, keepdims=True)
-        svv = np.sum(v * v, axis=-1, keepdims=True)
-        r = self.yc - v * (v @ self.yc)[..., None] / np.where(svv > 0.0, svv, np.inf)
+        *_, vc, svv = self.project(b3, a)
+        r = self.yc - vc * (vc @ self.yc)[..., None] / svv
         return np.sum(r * r, axis=-1)
-
-    def grid_rss(self, b3, a):
-        """``rss`` from moment sums of the uncentred column: faster, and
-        exact to round-off of the MOS variance, all a grid ranking needs."""
-        v = self.column(b3, a)
-        sv = np.sum(v, axis=-1)
-        svv = np.einsum("...i,...i->...", v, v) - sv * sv / self.xs.size
-        svy = v @ self.yc
-        return self.yc @ self.yc - svy * svy / np.where(svv > 0.0, svv, np.inf)
 
 
 def _grid_starts(frame: _Frame):
@@ -302,28 +299,22 @@ def _grid_starts(frame: _Frame):
                      axis=-1).reshape(t.size, -1)[:, :-1]
     b3 = np.hstack([np.full_like(t, distinct[0] - 0.25), distinct[0] - a, inner,
                     distinct[-1] + a, np.full_like(t, distinct[-1] + 0.25)])
-    w = np.hstack([-np.ones_like(t), (b3 - frame.mid) / (frame.half + TAIL_U * a),
-                   np.ones_like(t)])
+    w = np.hstack([-np.ones_like(t), frame.w(b3, a), np.ones_like(t)])
     flat_b3 = frame.b3(w, a).reshape(-1, 1)
     flat_a = np.broadcast_to(a, w.shape).reshape(-1, 1)
     rss = np.empty(w.size)
     chunk = max(1, _GRID_BYTES // (8 * frame.xs.size))
     for i in range(0, w.size, chunk):
-        rss[i:i + chunk] = frame.grid_rss(flat_b3[i:i + chunk], flat_a[i:i + chunk])
+        rss[i:i + chunk] = frame.rss(flat_b3[i:i + chunk], flat_a[i:i + chunk])
     rss = rss.reshape(w.shape)
-    padded = np.pad(rss, 1, constant_values=np.inf)
-    minimal = np.ones(rss.shape, dtype=bool)
-    for di in (0, 1, 2):
-        for dj in (0, 1, 2):
-            minimal &= rss <= padded[di:di + rss.shape[0], dj:dj + rss.shape[1]]
-    rows, cols = np.nonzero(minimal)
+    rows, cols = np.nonzero(
+        rss <= minimum_filter(rss, 3, mode="constant", cval=np.inf))
     order = np.argsort(rss[rows, cols], kind="stable")
     _, first = np.unique(rss[rows, cols][order], return_index=True)
     pick = order[np.sort(first)[:_BASINS]]
     ends = np.argmin(rss[:, [0, -1]], axis=0)
     shoulder = np.array([distinct[0] - a[ends[0], 0], distinct[-1] + a[ends[1], 0]])
-    return (np.concatenate([w[rows[pick], cols[pick]],
-                            (shoulder - frame.mid) / (frame.half + TAIL_U * a[ends, 0])]),
+    return (np.concatenate([w[rows[pick], cols[pick]], frame.w(shoulder, a[ends, 0])]),
             np.concatenate([t[rows[pick], 0], t[ends, 0]]))
 
 
@@ -357,12 +348,7 @@ def _polish(frame: _Frame, w, t):
         # by hw = a / (half + TAIL_U a), t by 1. The model is mean(y) + d vc,
         # so df/d(w, t) = d v (1 - v) dsu/d(w, t) and the gradient
         # -2 r . df/d(w, t) is exact
-        sign = np.where(b3 >= frame.mid, 1.0, -1.0)
-        su = (frame.xs - b3) * (sign / a)
-        v = expit(su)
-        vc = v - v.mean(axis=-1, keepdims=True)
-        svv = np.sum(vc * vc, axis=-1, keepdims=True)
-        svv[svv == 0.0] = np.inf       # a constant column fits nothing: d = 0
+        sign, su, v, vc, svv = frame.project(b3, a)
         d = (vc @ frame.yc)[:, None] / svv
         hw = a / (frame.half + TAIL_U * a)
         jac = -(d * v * (1.0 - v))[:, None] * np.stack(
@@ -400,8 +386,7 @@ def _polish(frame: _Frame, w, t):
         t_step = t + step[:, 0, 1:]
         limits = [(one, t), (-one, t), (one, t_step), (-one, t_step),
                   (w, one * frame.t_hi),
-                  ((near + (b3 - near) * (a_lo / a) - frame.mid)
-                   / (frame.half + TAIL_U * a_lo), one * frame.t_lo)]
+                  (frame.w(near + (b3 - near) * (a_lo / a), a_lo), one * frame.t_lo)]
         tw = np.clip(np.concatenate([w[:, None] + step[..., :1],
                                      np.stack([lw for lw, _ in limits], axis=1)], axis=1),
                      -1.0, 1.0)
@@ -455,7 +440,7 @@ def fit_logistic4(scores, mos) -> LogisticFit:
     grid_w, grid_t = _grid_starts(frame)
     a0 = np.std(xs) / 4.0
     w, t, rss, settled = _polish(
-        frame, np.append(grid_w, -frame.mid / (frame.half + TAIL_U * a0)),
+        frame, np.append(grid_w, frame.w(0.0, a0)),
         np.append(grid_t, np.log(a0)))
     k = int(np.argmin(rss))
     w, t = w[k], t[k]
@@ -606,17 +591,35 @@ def evaluate_metric(metric_id: str, scores, mos_records) -> MetricEvaluation:
     return MetricEvaluation(row, fit, np.abs(pred - mos))
 
 
+# criterion values this close, relative, are one value: two equal fits can
+# differ in the last bits of their criteria
+TIE_RTOL = 1e-12
+
+
+def _tied(values) -> np.ndarray:
+    """``values`` with each run of sorted neighbours within TIE_RTOL
+    relative set to the run's smallest value."""
+    order = np.argsort(values, kind="stable")
+    s = values[order]
+    near = np.abs(np.diff(s)) <= TIE_RTOL * np.maximum(np.abs(s[1:]), np.abs(s[:-1]))
+    starts = np.flatnonzero(np.r_[True, ~near])
+    out = np.empty_like(s)
+    out[order] = np.repeat(s[starts], np.diff(np.r_[starts, s.size]))
+    return out
+
+
 def rank_aggregate(tables: list) -> dict:
     """Per-metric sums of ranking scores over all criteria rows of all tables.
 
     In each criterion row the best metric scores n (the number of metrics)
-    and the worst scores 1; ties share the mean of their span.
+    and the worst scores 1; ties, values within TIE_RTOL relative, share the
+    mean of their span.
     """
     totals: dict[str, float] = {}
     for table in tables:
         ids = [row.metric_id for row in table]
         for crit in CRITERIA:
-            values = np.array([getattr(row, crit) for row in table], dtype=np.float64)
+            values = _tied(np.array([getattr(row, crit) for row in table], dtype=np.float64))
             if crit in ASCENDING_CRITERIA:
                 scores = midranks(-values)
             else:

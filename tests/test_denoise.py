@@ -68,13 +68,18 @@ class TestWienerParams:
         with pytest.raises(InvalidField):
             WienerParams(1)
 
-    def test_rejects_negative_noise(self):
+    @pytest.mark.parametrize("window", [5.5, 5.0, True], ids=["fraction", "float", "bool"])
+    def test_rejects_non_integer_windows(self, window):
         with pytest.raises(InvalidField):
-            WienerParams(5, -1.0)
-        with pytest.raises(InvalidField):
-            WienerParams(5, float("nan"))
+            WienerParams(window)
 
-    @pytest.mark.parametrize("noise", ["abc", "1.5", None], ids=["text", "numeric-text", "none"])
+    def test_rejects_negative_noise(self):
+        for noise in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidField):
+                WienerParams(5, noise)
+
+    @pytest.mark.parametrize("noise", ["abc", "1.5", None, True],
+                             ids=["text", "numeric-text", "none", "bool"])
     def test_rejects_non_numeric_noise(self, noise):
         with pytest.raises(InvalidField):
             WienerParams(5, noise)

@@ -100,6 +100,18 @@ class TestTrackConfig:
         with pytest.raises(InvalidField):
             TrackConfig("qa3", clip_percentile=percentile)
 
+    def test_integral_float_upsample_runs_as_its_int(self, tiny_dataset, tmp_path):
+        manifest = load_manifest(tiny_dataset["manifest"])
+        mos = read_mos_csv(tiny_dataset["mos"])
+        reports = []
+        for m in (2, 2.0):
+            config = TrackConfig("qa2", metrics=("mse",), upsample_m=m)
+            out = tmp_path / repr(m)
+            paths = emit_report(run_track(manifest, mos, config), str(out), config)
+            reports.append({name: (out / name).read_bytes()
+                            for name in map(os.path.basename, paths)})
+        assert reports[1] == reports[0]
+
 
 class TestRunTrack:
     def test_report_structure(self, small_report):
@@ -963,6 +975,8 @@ class TestCli:
         ("denoise", "--wiener-noise", "nan"),
         ("denoise", "--wiener-noise", "-1"),
         ("bench", "--wiener-noise", "nan"),
+        ("bench", "--wiener-noise", "inf"),
+        ("denoise", "--wiener-noise", "inf"),
         ("reconstruct", "--clip-percentile", "150"),
         ("reconstruct", "--clip-percentile", "nan"),
         ("bench", "--clip-percentile", "-0.5"),
@@ -976,7 +990,8 @@ class TestCli:
         ("bench", "--upsample-m", "1"),
         ("convert", "--upsample-m", "0"),
     ], ids=["denoise-noise-text", "denoise-noise-nan", "denoise-noise-negative",
-            "bench-noise-nan", "reconstruct-percentile-150", "reconstruct-percentile-nan",
+            "bench-noise-nan", "bench-noise-inf", "denoise-noise-inf",
+            "reconstruct-percentile-150", "reconstruct-percentile-nan",
             "bench-percentile-negative", "bench-percentile-text",
             "reconstruct-focal-nan", "reconstruct-focal-inf", "denoise-window-even",
             "bench-window-1", "synth-size-0", "synth-aperture-negative",

@@ -525,6 +525,17 @@ class TestRankAggregation:
         sums = rank_aggregate([table])
         assert all(v == pytest.approx(6 * 2.0) for v in sums.values())
 
+    def test_round_off_apart_values_share_a_rank(self):
+        # two equal fits whose criteria differ in the last bit, as msssim and
+        # gmsd do on the demo's qa1 OPT display
+        rmse = 0.4
+        table = [CriteriaRow(mid, 0.9, 0.8, 0.7, 0.6, r, 0.1)
+                 for mid, r in (("a", rmse), ("b", np.nextafter(rmse, 1.0)))]
+        table.append(CriteriaRow("c", 0.5, 0.5, 0.5, 0.5, 0.5, 0.5))
+        sums = rank_aggregate([table])
+        assert sums["a"] == sums["b"] == 5 * 2.5 + 2.5
+        assert sums["c"] == 6 * 1.0
+
     def test_checksum_per_run(self):
         rng = np.random.default_rng(8)
         tables = []
