@@ -24,9 +24,11 @@ metric intermediates across the versions.
 planes on it (``score_components_avg``); qa3/qa4 prepare each reference
 (view, focal) on the calling thread and submit its distorted versions as one
 job that dequantizes, renders, despeckles (qa4), quantizes and scores them.
-No error leaves ``run_track`` before every submitted job has ended, and the
-error of the earliest (view, focal) wins, from the reference preparation or
-a job.
+The qa3/qa4 jobs are one stream across stimuli: the next stimulus's jobs are
+submitted before the current stimulus's are read. No error leaves
+``run_track`` before every submitted job has ended, and the error of the
+earliest (stimulus, view, focal) wins, from the reference preparation or a
+job. The logistic fits of every (display, metric) then run on the same pool.
 
 Evaluation samples are one score per (stimulus, view) for qa1/qa2 and one per
 (stimulus, view, focal plane) for qa3/qa4; MOS records are matched at the
@@ -300,12 +302,14 @@ def _field_scores(config: TrackConfig, manifest: DatasetManifest,
                                                    ref_scratch, pool)
 
 
-def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_px,
+def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_codes,
                     metric_ids) -> list:
     """One qa3/qa4 job: (tag, scores) of every quantized distorted version at
     one (view, focal), each dequantized, rendered, despeckled with ``wp``
-    (qa4), quantized with the reference's ``bound`` and scored against
-    ``ref_px`` with a reference scratch of this job's own."""
+    (qa4), quantized with the reference's ``bound`` and scored against the
+    reference's 8-bit ``ref_codes`` with a reference scratch of this job's
+    own."""
+    ref_px = ref_codes.astype(np.float64)
     ref_scratch = {}
     out = []
     for tag, dist_q in dists:
@@ -320,39 +324,57 @@ def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_px,
     return out
 
 
-def _view_scores(config: TrackConfig, manifest: DatasetManifest,
-                 entry: StimulusEntry, metric_ids, pool):
-    """View-domain samples (tag, view, focal_index, scores) in manifest
-    order. The calling thread renders, despeckles (qa4, AUTO noise resolved
-    on it) and quantizes each (view, focal) of the reference, then submits
-    its versions to ``pool`` as one job. The versions are held quantized (2
-    bytes per sample) and each job dequantizes one at a time, so memory does
-    not grow by a complex field per version. On an error it waits for the
-    jobs already submitted, so the earliest one's error wins."""
+def _submit_views(config: TrackConfig, manifest: DatasetManifest, entry: StimulusEntry,
+                  metric_ids, pool, jobs: list) -> None:
+    """Render, despeckle (qa4, AUTO noise resolved here) and quantize each
+    (view, focal) of ``entry``'s reference on the calling thread, and append
+    (view, focal_index, job) to ``jobs`` as each job is submitted. The
+    versions are held quantized (2 bytes per sample) and each job
+    dequantizes one at a time, so memory does not grow by a complex field
+    per version; each queued reference view is held as its 8-bit codes."""
     ref = dequantize_components(manifest.load_reference(entry))
     dists = tuple((tag, manifest.load_distorted(entry, tag)) for tag in entry.distorted)
-    jobs = []
-    try:
-        for view in manifest.views:
-            ap = ApertureSpec.for_view(view, ref.rows, ref.cols, entry.aperture_size)
-            for fi, offset in enumerate(entry.focal_offsets):
-                ref_amp = reconstruct_view(ref, ap, offset)
-                wp = None
-                if config.track == "qa4":
-                    wp = resolve_params(ref_amp, config.wiener)
-                    ref_amp = wiener_denoise(ref_amp, wp)
-                bound = view_clip_bound(ref_amp, config.clip_percentile)
-                ref_px = clip_and_quantize_view(ref_amp, bound).astype(np.float64)
-                jobs.append((view, fi, pool.submit(
-                    _score_versions, config, dists, ap, offset, wp, bound, ref_px,
-                    metric_ids)))
-    except Exception:
-        for _, _, job in jobs:      # an earlier job's error wins
-            job.result()
-        raise
-    for view, fi, job in jobs:
-        for tag, scores in job.result():
-            yield tag, view, fi, scores
+    for view in manifest.views:
+        ap = ApertureSpec.for_view(view, ref.rows, ref.cols, entry.aperture_size)
+        for fi, offset in enumerate(entry.focal_offsets):
+            ref_amp = reconstruct_view(ref, ap, offset)
+            wp = None
+            if config.track == "qa4":
+                wp = resolve_params(ref_amp, config.wiener)
+                ref_amp = wiener_denoise(ref_amp, wp)
+            bound = view_clip_bound(ref_amp, config.clip_percentile)
+            jobs.append((view, fi, pool.submit(
+                _score_versions, config, dists, ap, offset, wp, bound,
+                clip_and_quantize_view(ref_amp, bound), metric_ids)))
+
+
+def _view_scores(config: TrackConfig, manifest: DatasetManifest, metric_ids, pool):
+    """(entry, view-domain samples (tag, view, focal_index, scores)) per
+    stimulus, in manifest order, as one job stream: the next stimulus's jobs
+    are submitted (``_submit_views``) before the current one's are read, so
+    the pool keeps working while the calling thread prepares references. On
+    a preparation error it waits for every job submitted, and the earliest
+    job error, else the preparation error, is raised."""
+    ahead = None
+    for entry in manifest.stimuli:
+        jobs = []
+        try:
+            _submit_views(config, manifest, entry, metric_ids, pool, jobs)
+        except Exception:
+            for _, _, job in (ahead[1] if ahead else []) + jobs:
+                job.result()        # an earlier job's error wins
+            raise
+        if ahead:
+            yield _view_samples(*ahead)
+        ahead = entry, jobs
+    if ahead:
+        yield _view_samples(*ahead)
+
+
+def _view_samples(entry: StimulusEntry, jobs: list):
+    """(entry, samples) of one stimulus's jobs, read in submission order."""
+    return entry, [(tag, view, fi, scores) for view, fi, job in jobs
+                   for tag, scores in job.result()]
 
 
 def _mos_lookup(mos_records):
@@ -381,58 +403,68 @@ def _matched_mos(by_key, stimulus_id, display, view, focal_index):
 def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> EvalReport:
     """Score every stimulus pair of the manifest, match MOS per display and
     evaluate every metric on all six criteria. Raises CorruptInput on a MOS
-    value outside the manifest's rating scale."""
+    value outside the manifest's rating scale. The logistic fits of every
+    (display, metric) run on the run's pool too, submitted metric-major and
+    read in (display, metric) order."""
     metric_ids = config.resolved_metrics()
     lo, hi = manifest.rating_scale
     for r in mos_records:
         if not lo <= r.mos <= hi:
             raise CorruptInput(f"MOS {r.mos!r} of {r.stimulus_id}/{r.display.value} "
                                f"lies outside the rating scale [{lo!r}, {hi!r}]")
-    scorer = _field_scores if config.track in ("qa1", "qa2") else _view_scores
 
     samples = []      # (stimulus_id, view, focal_index, scores dict), manifest order
-    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="holoqa-score") as pool:
-        for entry in manifest.stimuli:
-            # scored reference-first, recorded in manifest order (tag, view, focal)
-            tags = list(entry.distorted)
-            scored = sorted(scorer(config, manifest, entry, metric_ids, pool),
-                            key=lambda sample: tags.index(sample[0]))
-            samples += [(f"{entry.stimulus_id}:{tag}", view, fi, scores)
-                        for tag, view, fi, scores in scored]
-
-    by_key = _mos_lookup(mos_records)
     criteria = {}
     significance = {}
     tables = []
-    for display in Display:
-        matched = []
-        for sid, view, fi, scores in samples:
-            rec = _matched_mos(by_key, sid, display, view, fi)
-            if rec is None:
-                log.warning("no MOS for %s/%s view=%s focal=%s; sample skipped",
-                            sid, display.value, view, fi)
-                continue
-            matched.append((scores, rec))
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="holoqa-score") as pool:
+        if config.track in ("qa1", "qa2"):
+            scored = ((entry, _field_scores(config, manifest, entry, metric_ids, pool))
+                      for entry in manifest.stimuli)
+        else:
+            scored = _view_scores(config, manifest, metric_ids, pool)
+        for entry, entry_samples in scored:
+            # scored reference-first, recorded in manifest order (tag, view, focal)
+            tags = list(entry.distorted)
+            samples += [(f"{entry.stimulus_id}:{tag}", view, fi, scores)
+                        for tag, view, fi, scores in sorted(
+                            entry_samples, key=lambda sample: tags.index(sample[0]))]
+
+        by_key = _mos_lookup(mos_records)
+        matched = {}
+        for display in Display:
+            pairs = []
+            for sid, view, fi, scores in samples:
+                rec = _matched_mos(by_key, sid, display, view, fi)
+                if rec is None:
+                    log.warning("no MOS for %s/%s view=%s focal=%s; sample skipped",
+                                sid, display.value, view, fi)
+                    continue
+                pairs.append((scores, rec))
+            if pairs:
+                matched[display] = pairs
         if not matched:
-            continue
-        recs = [r for _, r in matched]
-        rows = []
-        residual_sets = {}
-        for mid in metric_ids:
-            try:
-                ev = evaluate_metric(mid, [s[mid] for s, _ in matched], recs)
-                rows.append(ev.row)
-                residual_sets[mid] = ev.abs_residuals
-            except DegenerateRanks as exc:
-                log.warning("metric %s degenerate on display %s: %s",
-                            mid, display.value, exc)
-                rows.append(CriteriaRow(mid, *[float("nan")] * 6))
-        criteria[display] = rows
-        if residual_sets:
-            significance[display] = significance_matrix(residual_sets)
-        tables.append([r for r in rows if np.isfinite(r.srocc)])
-    if not criteria:
-        raise NoOverlap("no manifest stimulus has a matching MOS record")
+            raise NoOverlap("no manifest stimulus has a matching MOS record")
+        fits = {(display, mid): pool.submit(evaluate_metric, mid,
+                                            [s[mid] for s, _ in pairs],
+                                            [r for _, r in pairs])
+                for mid in metric_ids for display, pairs in matched.items()}
+        for display in matched:
+            rows = []
+            residual_sets = {}
+            for mid in metric_ids:
+                try:
+                    ev = fits[display, mid].result()
+                    rows.append(ev.row)
+                    residual_sets[mid] = ev.abs_residuals
+                except DegenerateRanks as exc:
+                    log.warning("metric %s degenerate on display %s: %s",
+                                mid, display.value, exc)
+                    rows.append(CriteriaRow(mid, *[float("nan")] * 6))
+            criteria[display] = rows
+            if residual_sets:
+                significance[display] = significance_matrix(residual_sets)
+            tables.append([r for r in rows if np.isfinite(r.srocc)])
 
     rank_sums = rank_aggregate([t for t in tables if t])
     raw = tuple(ScoreRecord(sid, view, fi, mid, scores[mid])

@@ -7,31 +7,35 @@ import threading
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.ndimage import correlate
+from scipy.ndimage import correlate1d
 
 from .params import from_ref_scratch
 from .ssim import _check_pair
 
-_PREWITT_X = np.array([[1.0, 0.0, -1.0]] * 3) / 3.0
-_SCHARR_X = np.array([[3.0, 0.0, -3.0],
-                      [10.0, 0.0, -10.0],
-                      [3.0, 0.0, -3.0]]) / 16.0
+# the smoothing taps of each x-gradient window outer(smooth, _DIFF)
+_PREWITT = np.array([1.0, 1.0, 1.0]) / 3.0
+_SCHARR = np.array([3.0, 10.0, 3.0]) / 16.0
+_DIFF = np.array([1.0, 0.0, -1.0])
 _GMSD_T = 170.0
 _FSIM_T1 = 0.85
 _FSIM_T2 = 160.0
 
 
-def _gradient_magnitude(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    gx = correlate(img, kernel, mode="reflect")
-    gy = correlate(img, kernel.T, mode="reflect")
+def _gradient_magnitude(img: np.ndarray, smooth: np.ndarray) -> np.ndarray:
+    """Magnitude of the gradient under the windows outer(smooth, _DIFF) (x)
+    and its transpose (y), each as two 1-D passes mirrored at the borders."""
+    gx = correlate1d(correlate1d(img, smooth, axis=0, mode="reflect"), _DIFF, axis=1,
+                     mode="reflect")
+    gy = correlate1d(correlate1d(img, _DIFF, axis=0, mode="reflect"), smooth, axis=1,
+                     mode="reflect")
     return np.sqrt(gx * gx + gy * gy)
 
 
 def gmsd_map(ref, dist) -> np.ndarray:
     """Gradient-magnitude similarity map (Prewitt gradients, constant T)."""
     ref, dist = _check_pair(ref, dist)
-    g_r = _gradient_magnitude(ref, _PREWITT_X)
-    g_d = _gradient_magnitude(dist, _PREWITT_X)
+    g_r = _gradient_magnitude(ref, _PREWITT)
+    g_d = _gradient_magnitude(dist, _PREWITT)
     t = _GMSD_T
     return (2.0 * g_r * g_d + t) / (g_r * g_r + g_d * g_d + t)
 
@@ -120,8 +124,8 @@ def fsim(ref, dist, ref_scratch: dict | None = None) -> float:
     ref, dist = _check_pair(ref, dist)
     pc_r = from_ref_scratch(ref_scratch, "pc", lambda: phase_congruency(ref))
     pc_d = phase_congruency(dist)
-    g_r = _gradient_magnitude(ref, _SCHARR_X)
-    g_d = _gradient_magnitude(dist, _SCHARR_X)
+    g_r = _gradient_magnitude(ref, _SCHARR)
+    g_d = _gradient_magnitude(dist, _SCHARR)
     t1, t2 = _FSIM_T1, _FSIM_T2
     s_pc = (2.0 * pc_r * pc_d + t1) / (pc_r * pc_r + pc_d * pc_d + t1)
     s_g = (2.0 * g_r * g_d + t2) / (g_r * g_r + g_d * g_d + t2)

@@ -6,9 +6,10 @@ import numpy as np
 from scipy.ndimage import correlate
 
 from .params import from_ref_scratch
-from .ssim import _check_pair
+from .ssim import _check_pair, separable_filter
 
-_BINOMIAL = np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 4.0, 6.0, 4.0, 1.0]) / 256.0
+# the 5x5 binomial window is outer(_BINOMIAL, _BINOMIAL), run as two 1-D passes
+_BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 # divisive-normalization stabilizer of each band, for input scaled to [0, 1]:
 # the four bandpass bands (finest first), then the lowpass band
@@ -19,13 +20,13 @@ _DN_WIN[1, 1] = 0.0
 
 
 def _blur(img: np.ndarray) -> np.ndarray:
-    return correlate(img, _BINOMIAL, mode="reflect")
+    return separable_filter(img, _BINOMIAL, mode="reflect")
 
 
 def _upsample(img: np.ndarray, shape) -> np.ndarray:
     up = np.zeros(shape)
     up[0::2, 0::2] = img
-    return correlate(up, 4.0 * _BINOMIAL, mode="reflect")
+    return separable_filter(up, 2.0 * _BINOMIAL, mode="reflect")
 
 
 def _normalized_pyramid(img: np.ndarray):

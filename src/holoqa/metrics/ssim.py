@@ -13,6 +13,8 @@ exponents are (1, 1, 1). The constants are the standard ones for 8-bit input
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import fft as sp_fft
 from scipy.ndimage import correlate1d
@@ -46,21 +48,37 @@ def gaussian_window(size: int, sigma: float) -> np.ndarray:
 
 def separable_filter(img: np.ndarray, taps: np.ndarray, mode: str = "valid") -> np.ndarray:
     """2-D filtering of ``img`` with the window ``outer(taps, taps)`` (odd,
-    symmetric ``taps``) as two zero-padded 1-D passes, cut to the "valid"
-    region or kept whole for "same" (zero padding is fftconvolve's "same")."""
+    symmetric ``taps``) as two 1-D passes: zero-padded and cut to the "valid"
+    region or kept whole for "same" (zero padding is fftconvolve's "same"),
+    or kept whole and mirrored at the borders for "reflect"."""
+    pad = "reflect" if mode == "reflect" else "constant"
     h = len(taps) // 2 if mode == "valid" else 0
-    out = correlate1d(img, taps, axis=0, mode="constant")[h:img.shape[0] - h]
-    return correlate1d(out, taps, axis=1, mode="constant")[:, h:img.shape[1] - h]
+    out = correlate1d(img, taps, axis=0, mode=pad)[h:img.shape[0] - h]
+    return correlate1d(out, taps, axis=1, mode=pad)[:, h:img.shape[1] - h]
+
+
+@functools.lru_cache(maxsize=4)
+def _window_spectrum(win_bytes: bytes, win_shape: tuple, fshape: tuple) -> np.ndarray:
+    """Read-only ``rfftn`` of a float64 window (given by its bytes and shape)
+    padded to ``fshape``."""
+    win = np.frombuffer(win_bytes, dtype=np.float64).reshape(win_shape)
+    spectrum = sp_fft.rfftn(win, fshape)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def fftconvolve(img: np.ndarray, win: np.ndarray, mode: str) -> np.ndarray:
     """2-D linear convolution of real ``img`` with the smaller real ``win``,
     cut to its "valid" or "same" region. Bit for bit
     ``scipy.signal.fftconvolve(img, win, mode)``: the same padded ``rfftn``
-    pair, ``irfftn`` of their product and centred slice."""
+    pair, ``irfftn`` of their product and centred slice. The window's
+    spectrum is computed once per (window, padded shape)."""
+    win = np.asarray(win, dtype=np.float64)
     full = [a + b - 1 for a, b in zip(img.shape, win.shape)]
-    fshape = [sp_fft.next_fast_len(n, True) for n in full]
-    out = sp_fft.irfftn(sp_fft.rfftn(img, fshape) * sp_fft.rfftn(win, fshape), fshape)
+    fshape = tuple(sp_fft.next_fast_len(n, True) for n in full)
+    spectrum = sp_fft.rfftn(img, fshape)
+    spectrum *= _window_spectrum(win.tobytes(), win.shape, fshape)
+    out = sp_fft.irfftn(spectrum, fshape, overwrite_x=True)
     shape = (img.shape if mode == "same"
              else [a - b + 1 for a, b in zip(img.shape, win.shape)])
     cut = tuple(slice((f - n) // 2, (f - n) // 2 + n) for f, n in zip(full, shape))

@@ -7,6 +7,7 @@ aggregation.
 from __future__ import annotations
 
 import csv
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -272,8 +273,41 @@ class _Frame:
     def rss(self, b3, a):
         """Residual sum of squares of the best b1 + (b2 - b1) s at (b3, a)."""
         *_, vc, svv = self.project(b3, a)
+        return self.projected_rss(vc, svv)
+
+    def projected_rss(self, vc, svv):
+        """``rss`` of the projected columns (vc, svv)."""
         r = self.yc - vc * (vc @ self.yc)[..., None] / svv
         return np.sum(r * r, axis=-1)
+
+
+# The projected grid of the last fit's working-frame scores, (xs bytes,
+# [(vc, svv) per block]). It does not depend on the MOS, so a metric's fits
+# on the three displays, which share their scores, project the grid once.
+# One entry, kept only up to _GRID_MEMO_BYTES (about 1.2 MB at 48 samples);
+# the lock is held while a grid is projected.
+_GRID_MEMO_BYTES = 4 << 20
+_GRID_LOCK = threading.Lock()
+_grid_memo = [None]
+
+
+def _grid_rss(frame: _Frame, flat_b3, flat_a) -> np.ndarray:
+    """``frame.rss`` at the grid points (flat_b3, flat_a), evaluated a block
+    of points at a time, so no temporary exceeds _GRID_BYTES."""
+    chunk = max(1, _GRID_BYTES // (8 * frame.xs.size))
+    blocks = range(0, flat_b3.size, chunk)
+
+    def project(i):
+        return frame.project(flat_b3[i:i + chunk], flat_a[i:i + chunk])[3:]
+
+    if 8 * flat_b3.size * frame.xs.size > _GRID_MEMO_BYTES:
+        return np.concatenate([frame.projected_rss(*project(i)) for i in blocks])
+    key = frame.xs.tobytes()
+    with _GRID_LOCK:
+        if _grid_memo[0] is None or _grid_memo[0][0] != key:
+            _grid_memo[0] = key, [project(i) for i in blocks]
+        projected = _grid_memo[0][1]
+    return np.concatenate([frame.projected_rss(vc, svv) for vc, svv in projected])
 
 
 def _grid_starts(frame: _Frame):
@@ -283,9 +317,8 @@ def _grid_starts(frame: _Frame):
     The grid's b3 takes, per distinct score, the points 3 |b4| below and
     above it and the midpoint to the next score (where a small |b4| gives an
     exact step), one |b4| and a quarter span beyond either end, and the two
-    tail limits; |b4| is log-spaced from t_lo to _GRID_WIDTH spans. It is
-    evaluated a block of points at a time, so no temporary exceeds
-    _GRID_BYTES. A shoulder start lies one |b4| beyond an end score, at the
+    tail limits; |b4| is log-spaced from t_lo to _GRID_WIDTH spans
+    (``_grid_rss``). A shoulder start lies one |b4| beyond an end score, at the
     |b4| where that end's tail fits best: a finite basin often lies there,
     between the grid's columns."""
     distinct = np.unique(frame.xs)
@@ -302,11 +335,7 @@ def _grid_starts(frame: _Frame):
     w = np.hstack([-np.ones_like(t), frame.w(b3, a), np.ones_like(t)])
     flat_b3 = frame.b3(w, a).reshape(-1, 1)
     flat_a = np.broadcast_to(a, w.shape).reshape(-1, 1)
-    rss = np.empty(w.size)
-    chunk = max(1, _GRID_BYTES // (8 * frame.xs.size))
-    for i in range(0, w.size, chunk):
-        rss[i:i + chunk] = frame.rss(flat_b3[i:i + chunk], flat_a[i:i + chunk])
-    rss = rss.reshape(w.shape)
+    rss = _grid_rss(frame, flat_b3, flat_a).reshape(w.shape)
     rows, cols = np.nonzero(
         rss <= minimum_filter(rss, 3, mode="constant", cval=np.inf))
     order = np.argsort(rss[rows, cols], kind="stable")

@@ -37,6 +37,7 @@ from .field import (
     HologramForm,
     WaveField,
     _check_keys,
+    _of_type,
     read_json_object,
     write_json,
 )
@@ -57,8 +58,10 @@ class ConversionPlan:
 
 
 def _check_factor(m) -> int:
-    if not float(m).is_integer() or int(m) < 2:
-        raise InvalidFactor(f"upsampling factor must be an integer >= 2, got {m}")
+    """``m`` as an int; raises InvalidFactor unless it is a number (an
+    integral float runs as its int) that is an integer >= 2."""
+    if not (_of_type(m, _NUMBER) and float(m).is_integer() and m >= 2):
+        raise InvalidFactor(f"upsampling factor must be an integer >= 2, got {m!r}")
     return int(m)
 
 

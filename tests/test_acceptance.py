@@ -6,12 +6,15 @@ variables are set.
 
 import csv
 import filecmp
+import json
 import math
 import os
+import platform
 import time
 
 import numpy as np
 import pytest
+import scipy
 
 from holoqa.field import HologramForm, WaveField
 from holoqa.harness import TrackConfig, emit_report, load_manifest, run_track
@@ -218,22 +221,31 @@ def test_criterion_08_rank_aggregation_checksum():
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
+def _versions() -> str:
+    """The library versions the goldens were recorded with and those running."""
+    with open(os.path.join(GOLDEN_DIR, "versions.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    running = {"python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__}
+    return f"goldens recorded with {recorded}, running {running}"
+
+
 def _assert_golden_raw_scores(report):
     """Raw scores equal tests/golden/<track>_raw_scores.csv at rtol 1e-9, with
     the +inf PSNR sentinel matched exactly (see tests/golden/record.py)."""
     with open(os.path.join(GOLDEN_DIR, f"{report.track}_raw_scores.csv"),
               newline="", encoding="utf-8") as fh:
         golden = list(csv.DictReader(fh))
-    assert len(report.raw_scores) == len(golden)
+    assert len(report.raw_scores) == len(golden), _versions()
     for rec, want in zip(report.raw_scores, golden):
         key = (rec.stimulus_id, rec.view, str(rec.focal_index), rec.metric_id)
         assert key == (want["stimulus_id"], want["view"], want["focal_index"],
-                       want["metric"])
+                       want["metric"]), _versions()
         w = float(want["value"])
         if math.isinf(w) or math.isinf(rec.value):
-            assert rec.value == w, key
+            assert rec.value == w, (key, _versions())
         else:
-            assert abs(rec.value - w) <= 1e-9 * abs(w), (key, rec.value, w)
+            assert abs(rec.value - w) <= 1e-9 * abs(w), (key, rec.value, w, _versions())
 
 
 def _assert_golden_criteria(report):
@@ -243,15 +255,16 @@ def _assert_golden_criteria(report):
         name = f"{report.track}_{display.value}_criteria.csv"
         with open(os.path.join(GOLDEN_DIR, name), newline="", encoding="utf-8") as fh:
             golden = list(csv.DictReader(fh))
-        assert [r.metric_id for r in rows] == [g["metric"] for g in golden], name
+        assert [r.metric_id for r in rows] == [g["metric"] for g in golden], (
+            name, _versions())
         for row, want in zip(rows, golden):
             for col in CRITERIA + ("srocc_signed", "krcc_signed", "pcc_nofit_signed"):
                 got, w = getattr(row, col), float(want[col])
                 key = (name, row.metric_id, col)
                 if math.isnan(w) or math.isnan(got):
-                    assert math.isnan(w) and math.isnan(got), key
+                    assert math.isnan(w) and math.isnan(got), (key, _versions())
                 else:
-                    assert abs(got - w) <= 1e-9 * abs(w), (key, got, w)
+                    assert abs(got - w) <= 1e-9 * abs(w), (key, got, w, _versions())
 
 
 def test_criterion_09_end_to_end_desk_scale(demo_dataset, tmp_path):

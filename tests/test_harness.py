@@ -347,6 +347,138 @@ class TestViewPool:
         assert _view_pool_threads() == []
 
 
+@pytest.fixture(scope="module")
+def two_stimuli(tmp_path_factory):
+    """Two references with two distorted versions each."""
+    root = str(tmp_path_factory.mktemp("two"))
+    manifest = generate_demo_dataset(root, size=64, aperture=48, scenes=("dots", "ring"),
+                                     bits_levels=(7, 6), seed=1234)
+    return load_manifest(manifest), read_mos_csv(os.path.join(root, "mos.csv"))
+
+
+def _watched_stimulus_renders(monkeypatch, manifest, hook):
+    """Patch ``holoqa.harness.reconstruct_view`` so that every render calls
+    ``hook(stimulus_index, on_worker)`` first; the stimulus is told by the
+    rendered field's data."""
+    owner = {}
+    for i, entry in enumerate(manifest.stimuli):
+        for q in (manifest.load_reference(entry),
+                  *(manifest.load_distorted(entry, tag) for tag in entry.distorted)):
+            owner[harness.dequantize_components(q).data.tobytes()] = i
+    render = harness.reconstruct_view
+
+    def watched(f, ap, offset):
+        hook(owner[f.data.tobytes()],
+             threading.current_thread().name.startswith("holoqa-score"))
+        return render(f, ap, offset)
+    monkeypatch.setattr(harness, "reconstruct_view", watched)
+
+
+class TestJobStream:
+    """qa3/qa4 submit the next stimulus's jobs before reading the current
+    one's; the error of the earliest (stimulus, view, focal) still wins."""
+
+    def test_earlier_stimulus_job_error_wins_over_later_reference_error(
+            self, two_stimuli, monkeypatch):
+        manifest, mos = two_stimuli
+        ref_failed = threading.Event()
+        waited = []
+
+        def fail(i, on_worker):
+            if i == 1 and not on_worker:
+                ref_failed.set()
+                raise CorruptInput("reference of stimulus #2")
+            if i == 0 and on_worker:
+                # the next stimulus's reference is prepared while this job runs
+                waited.append(ref_failed.wait(5))
+                raise DegenerateAmplitude("job of stimulus #1")
+        _watched_stimulus_renders(monkeypatch, manifest, fail)
+        with pytest.raises(DegenerateAmplitude, match="stimulus #1"):
+            run_track(manifest, mos, TrackConfig("qa4", metrics=("mse",)))
+        assert waited and all(waited)
+        assert _view_pool_threads() == []
+
+    def test_earlier_stimulus_job_error_wins_over_later_job_error(
+            self, two_stimuli, monkeypatch):
+        manifest, mos = two_stimuli
+        later_raised = threading.Event()
+
+        def fail(i, on_worker):
+            if on_worker and i == 0:
+                later_raised.wait(5)    # a job of stimulus #2 raises first
+                raise DegenerateAmplitude("job of stimulus #1")
+            if on_worker and i == 1:
+                later_raised.set()
+                raise CorruptInput("job of stimulus #2")
+        _watched_stimulus_renders(monkeypatch, manifest, fail)
+        with pytest.raises(DegenerateAmplitude, match="stimulus #1"):
+            run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
+        assert _view_pool_threads() == []
+
+    def test_later_reference_error_raised_after_earlier_jobs_end(
+            self, two_stimuli, monkeypatch):
+        manifest, mos = two_stimuli
+        ended = []
+
+        def fail(i, on_worker):
+            if on_worker and i == 0:
+                time.sleep(0.05)
+                ended.append(i)
+            elif i == 1 and not on_worker:
+                raise CorruptInput("reference of stimulus #2")
+        _watched_stimulus_renders(monkeypatch, manifest, fail)
+        with pytest.raises(CorruptInput, match="stimulus #2"):
+            run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
+        entry = manifest.stimuli[0]
+        n_sites = len(manifest.views) * len(entry.focal_offsets)
+        assert len(ended) == n_sites * len(entry.distorted)
+        assert _view_pool_threads() == []
+
+    def test_samples_keep_manifest_order(self, two_stimuli):
+        manifest, mos = two_stimuli
+        report = run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
+        assert [(r.stimulus_id, r.view, r.focal_index) for r in report.raw_scores] == [
+            (f"{entry.stimulus_id}:{tag}", view, fi)
+            for entry in manifest.stimuli for tag in entry.distorted
+            for view in manifest.views for fi in range(len(entry.focal_offsets))]
+
+
+class TestFitsOnPool:
+    """Every (display, metric) logistic fit runs on the run's pool; the rows
+    keep (display, metric) order and a degenerate metric keeps its warning
+    and its NaN row."""
+
+    def test_rows_order_and_degenerate_row(self, two_stimuli, monkeypatch, caplog):
+        manifest, mos = two_stimuli
+        threads = []
+        evaluate = harness.evaluate_metric
+
+        def recorded(metric_id, scores, records):
+            threads.append(threading.current_thread().name)
+            if metric_id == "psnr" and records[0].display is Display.LF:
+                raise DegenerateRanks("constant scores")
+            return evaluate(metric_id, scores, records)
+        monkeypatch.setattr(harness, "evaluate_metric", recorded)
+        ids = ("mse", "psnr", "ssim")
+        with caplog.at_level(logging.WARNING, logger="holoqa.harness"):
+            report = run_track(manifest, mos, TrackConfig("qa3", metrics=ids))
+        assert len(threads) == len(ids) * len(Display)
+        assert all(name.startswith("holoqa-score") for name in threads)
+        assert list(report.criteria) == list(Display)
+        for display, rows in report.criteria.items():
+            assert [r.metric_id for r in rows] == list(ids)
+            for row in rows:
+                values = dataclasses.astuple(row)[1:]
+                if display is Display.LF and row.metric_id == "psnr":
+                    assert all(np.isnan(values))
+                else:
+                    assert np.all(np.isfinite(values))
+        assert [r.getMessage() for r in caplog.records if "degenerate" in r.getMessage()] == [
+            "metric psnr degenerate on display LF: constant scores"]
+        assert list(report.significance[Display.LF].metric_ids) == ["mse", "ssim"]
+        assert _view_pool_threads() == []
+
+
 def _aliased(manifest, mos, k):
     """``manifest`` and ``mos`` with every distorted version listed ``k``
     times, as aliases of the same files with matching MOS rows."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import fft as sp_fft
+from scipy.ndimage import correlate
 from scipy.signal import fftconvolve
 from scipy.stats import rankdata
 
@@ -25,7 +26,7 @@ from holoqa.metrics import (
     evaluate_real,
     perfect_value,
 )
-from holoqa.metrics import gradient
+from holoqa.metrics import gradient, pyramid
 from holoqa.metrics.gradient import fsim, gmsd, gmsd_map, phase_congruency
 from holoqa.metrics.pointwise import mse, nmse, psnr
 from holoqa.metrics.pyramid import nlpd
@@ -272,9 +273,40 @@ _CONVOLUTIONS = [
 ]
 
 
+def _gradient_2d(x, smooth):
+    window = np.outer(smooth, [1.0, 0.0, -1.0])
+    gx = correlate(x, window, mode="reflect")
+    gy = correlate(x, window.T, mode="reflect")
+    return np.sqrt(gx * gx + gy * gy)
+
+
+def _upsample_2d(x):
+    up = np.zeros((2 * x.shape[0], 2 * x.shape[1] - 1))
+    up[0::2, 0::2] = x
+    return correlate(up, 4.0 * _outer(pyramid._BINOMIAL), mode="reflect")
+
+
+# (two 1-D passes, the 2-D window they stand for) of every mirrored-border filter
+_REFLECTED = [
+    pytest.param(pyramid._blur,
+                 lambda x: correlate(x, _outer(pyramid._BINOMIAL), mode="reflect"),
+                 id="nlpd-blur5"),
+    pytest.param(lambda x: pyramid._upsample(x, (2 * x.shape[0], 2 * x.shape[1] - 1)),
+                 _upsample_2d, id="nlpd-upsample5"),
+    pytest.param(lambda x: gradient._gradient_magnitude(x, gradient._PREWITT),
+                 lambda x: _gradient_2d(x, np.full(3, 1.0 / 3.0)), id="gmsd-prewitt"),
+    pytest.param(lambda x: gradient._gradient_magnitude(x, gradient._SCHARR),
+                 lambda x: _gradient_2d(x, np.array([3.0, 10.0, 3.0]) / 16.0),
+                 id="fsim-scharr"),
+]
+
+
 class TestSeparableFilter:
     """Two 1-D passes filter like ``scipy.signal.fftconvolve`` with the
-    outer-product window, to round-off relative to the image's magnitude."""
+    outer-product window, to round-off relative to the image's magnitude;
+    the mirrored-border ones (NLPD's binomial blur and upsampling, the
+    Prewitt and Scharr gradients) like the 2-D window in
+    ``scipy.ndimage.correlate``, to 1e-14 of the output's magnitude."""
 
     @settings(max_examples=30, deadline=None)
     @given(case=st.sampled_from(_SEPARABLE),
@@ -295,6 +327,18 @@ class TestSeparableFilter:
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(x).max()))
 
+    @pytest.mark.parametrize("separable, window", _REFLECTED)
+    @pytest.mark.parametrize("shape", [(5, 5), (24, 31), (97, 128), (192, 192)])
+    def test_matches_2d_correlate(self, separable, window, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        img = rng.integers(0, 256, shape).astype(np.float64)
+        for x in (img, img * rng.integers(0, 256, shape), np.zeros(shape)):
+            want = window(x)
+            got = separable(x)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-14 * np.abs(want).max())
+
 
 class TestFftConvolve:
     """UQI's convolution, ``ssim.fftconvolve``, is ``scipy.signal.fftconvolve``
@@ -312,6 +356,15 @@ class TestFftConvolve:
             got = ssim_module.fftconvolve(x, win, mode)
             assert got.shape == want.shape
             assert np.array_equal(got, want)
+
+    def test_window_spectrum_is_cached_read_only(self):
+        win = np.full((8, 8), 1.0 / 64.0)
+        x = np.arange(400.0).reshape(20, 20)
+        first = ssim_module.fftconvolve(x, win, "valid")
+        spectrum = ssim_module._window_spectrum(win.tobytes(), win.shape, (27, 27))
+        assert spectrum is ssim_module._window_spectrum(win.tobytes(), win.shape, (27, 27))
+        assert not spectrum.flags.writeable
+        assert np.array_equal(ssim_module.fftconvolve(x, win, "valid"), first)
 
 
 class TestGradient:

@@ -3,12 +3,15 @@ and rank aggregation, against brute-force definitional oracles."""
 
 import csv
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.stats import rankdata
 
+from holoqa import stats as stats_module
 from holoqa.errors import DegenerateRanks, StimulusMismatch
 from holoqa.harness import TRACKS, _matched_mos, _mos_lookup
 from holoqa.stats import (
@@ -288,6 +291,26 @@ class TestLogisticFit:
         mapped = fit_logistic4(scale * x + shift, y)
         assert abs(mapped.residual_norm - fit.residual_norm) <= (
             1e-9 * fit.residual_norm + slack)
+
+    def test_shared_grid_fits_equal_fresh_ones_across_threads(self):
+        # fits of one score vector against several MOS vectors share the
+        # projected grid; each must equal its fit with the memo emptied
+        rng = np.random.default_rng(11)
+        score_sets = [rng.lognormal(0.0, 1.0, 48), rng.uniform(0.0, 1.0, 48)]
+        jobs = [(x, rng.uniform(1.0, 5.0, 48)) for x in score_sets for _ in range(3)]
+        fresh = []
+        for x, y in jobs:
+            stats_module._grid_memo[0] = None
+            fresh.append(fit_logistic4(x, y))
+        assert stats_module._grid_memo[0] is not None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                shared = list(pool.map(lambda job: fit_logistic4(*job), jobs * 2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == fresh * 2
 
 
 # rows where the hand-rolled loop stalled short of the optimum

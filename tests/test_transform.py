@@ -11,6 +11,7 @@ from holoqa.errors import (
     PlanMismatch,
 )
 from holoqa.field import ApertureSpec, HologramForm, WaveField
+from holoqa.harness import TrackConfig
 from holoqa.transform import (
     clip_and_quantize_view,
     compute_focus_distance,
@@ -51,6 +52,14 @@ class TestFocusDistance:
             compute_focus_distance(256, 8e-6, 640e-9, 1)
         with pytest.raises(InvalidFactor):
             compute_focus_distance(256, 8e-6, 640e-9, 2.5)
+
+    @pytest.mark.parametrize("m", ["abc", None, "2", True, float("nan")])
+    def test_non_number_factor_is_invalid(self, m):
+        f = _random_field(np.random.default_rng(0), 8, 8)
+        with pytest.raises(InvalidFactor):
+            TrackConfig("qa2", upsample_m=m)
+        with pytest.raises(InvalidFactor):
+            fourier_to_fresnel(f, m)
 
 
 class TestUpsampling:
