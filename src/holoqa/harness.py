@@ -17,17 +17,21 @@ Tracks:
 Scoring is reference-first: each stimulus's reference and each distorted
 field are loaded and prepared (qa2: converted) once; then, one view at a
 time, the reference is cropped or rendered once and every distorted version
-is scored against it, with a reference scratch that keeps the reference-only
-metric intermediates across the versions.
+is scored against it.
 
-``run_track`` owns the run's one two-worker pool. qa1/qa2 score imaginary
-planes on it (``score_components_avg``); qa3/qa4 prepare each reference
-(view, focal) on the calling thread and submit its distorted versions as one
-job that dequantizes, renders, despeckles (qa4), quantizes and scores them.
-The qa3/qa4 jobs are one stream across stimuli: the next stimulus's jobs are
-submitted before the current stimulus's are read. No error leaves
-``run_track`` before every submitted job has ended, and the error of the
-earliest (stimulus, view, focal) wins, from the reference preparation or a
+``run_track`` owns the run's one two-worker pool, and every track scores as
+one job stream on it: the next stimulus's jobs are submitted before the
+current stimulus's are read (at most one stimulus ahead). qa1/qa2 load and
+convert a stimulus's fields on the pool, then submit three jobs per view:
+the real planes, the imaginary planes (every real metric of every distorted
+version) and the complex crops. qa3/qa4 prepare each reference (view,
+focal) on the calling thread and submit its distorted versions as one job
+that dequantizes, renders, despeckles (qa4), quantizes and scores them.
+Every scoring job scores family-major (``_score_planes``): each metric
+family gets a reference scratch of its own, which keeps the reference-only
+intermediates across the versions and is dropped before the next family.
+No error leaves ``run_track`` before every submitted job has ended, and the
+error of the earliest (stimulus, view, focal) wins, from a preparation or a
 job. The logistic fits of every (display, metric) then run on the same pool.
 
 Evaluation samples are one score per (stimulus, view) for qa1/qa2 and one per
@@ -70,6 +74,7 @@ from .metrics import (
     check_metric_ids,
     evaluate_complex,
     evaluate_real,
+    metric_families,
 )
 from .stats import (
     CRITERIA,
@@ -232,10 +237,11 @@ class EvalReport:
 
 def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedField,
                          scratch: tuple, ref_scratch: tuple, pool) -> float:
-    """Mean of a real metric over the 8-bit real and imaginary planes, with
-    (real, imaginary) pairs of scratches. The imaginary planes are scored on
-    ``pool`` while this thread scores the real planes; no error is raised
-    before both have ended, and a real-plane error wins."""
+    """Mean of a real metric over the 8-bit real and imaginary planes of one
+    pair, with (real, imaginary) pairs of scratches. The imaginary planes are
+    scored on ``pool`` while this thread scores the real planes; no error is
+    raised before both have ended, and a real-plane error wins. The tracks
+    score whole planes as jobs instead (``_score_planes``)."""
     im_future = pool.submit(metrics.evaluate_real, metric_id,
                             ref.imag_plane.astype(np.float64),
                             dist.imag_plane.astype(np.float64), scratch[1], ref_scratch[1])
@@ -248,133 +254,164 @@ def score_components_avg(metric_id: str, ref: QuantizedField, dist: QuantizedFie
     return 0.5 * (re_score + im_future.result())
 
 
-def _score_field_pair(metric_ids, ref_q: QuantizedField, dist_q: QuantizedField,
-                      ref_scratch, pool):
-    """qa1/qa2 scoring on a pair of quantized hologram crops. ``ref_scratch``
-    holds the reference crop's real-plane, imaginary-plane and complex
-    scratches."""
-    out = {}
-    ref_c = dist_c = None
-    # one scratch per plane pair: real planes, imaginary planes, complex fields
-    planes_scratch, complex_scratch = ({}, {}), {}
-    for mid in metric_ids:
-        if mid in COMPLEX_METRICS:
-            # dequantized per pair, so the complex crops are not held while
-            # the real metrics run
-            if ref_c is None:
-                ref_c = dequantize_components(ref_q).data
-                dist_c = dequantize_components(dist_q).data
-            out[mid] = evaluate_complex(mid, ref_c, dist_c, scratch=complex_scratch,
-                                        ref_scratch=ref_scratch[2])
-        else:
-            out[mid] = score_components_avg(mid, ref_q, dist_q, planes_scratch,
-                                            ref_scratch[:2], pool)
+def _score_planes(metric_ids, ref_codes: np.ndarray, versions) -> list:
+    """The real metrics of ``metric_ids`` on the 8-bit ``ref_codes`` against
+    each 8-bit plane or view of ``versions``, one dict of scores per version.
+    Family-major: each metric family (``metrics.FAMILIES``) gets a fresh
+    reference scratch, dropped before the next family starts, and each
+    version is cast once per family and scored with a pair scratch of its
+    own, so the scratches hold one family's intermediates at a time."""
+    ref = ref_codes.astype(np.float64)
+    out = [{} for _ in versions]
+    for family in metric_families(metric_ids):
+        ref_scratch = {}
+        for codes, scores in zip(versions, out):
+            dist, scratch = codes.astype(np.float64), {}
+            for mid in family:
+                scores[mid] = evaluate_real(mid, ref, dist, scratch=scratch,
+                                            ref_scratch=ref_scratch)
     return out
 
 
-def _prepared_field(config: TrackConfig, q: QuantizedField) -> QuantizedField:
-    """The field qa1 scores as loaded; qa2 converts it to Fresnel form and
-    requantizes it."""
+def _score_complex(metric_ids, ref_crop: QuantizedField, crops) -> list:
+    """The complex metrics of ``metric_ids`` on each dequantized crop of
+    ``crops`` against the reference crop's, one dict of scores per crop. Each
+    crop is dequantized once and scored with a pair scratch of its own; the
+    reference scratch (the FFT ranks ssrm_C/ssrmt_C share) lives for the job."""
+    ids = [mid for mid in metric_ids if mid in COMPLEX_METRICS]
+    if not ids:
+        return [{} for _ in crops]
+    ref = dequantize_components(ref_crop).data
+    ref_scratch = {}
+    out = []
+    for crop in crops:
+        dist, scratch = dequantize_components(crop).data, {}
+        out.append({mid: evaluate_complex(mid, ref, dist, scratch=scratch,
+                                          ref_scratch=ref_scratch) for mid in ids})
+    return out
+
+
+def _prepared_field(config: TrackConfig, manifest: DatasetManifest, entry: StimulusEntry,
+                    tag: str | None = None) -> QuantizedField:
+    """``entry``'s reference (``tag`` None) or distorted version ``tag`` as
+    qa1 scores it, as loaded; qa2 converts it to Fresnel form and requantizes
+    it."""
+    q = (manifest.load_reference(entry) if tag is None
+         else manifest.load_distorted(entry, tag))
     if config.track != "qa2":
         return q
     fresnel, _ = fourier_to_fresnel(dequantize_components(q), config.upsample_m)
     return quantize_components(fresnel)
 
 
-def _field_scores(config: TrackConfig, manifest: DatasetManifest,
-                  entry: StimulusEntry, metric_ids, pool):
-    """Hologram-domain samples (tag, view, -1, scores), view by view: each
-    view's reference crop is cut once and every distorted version is scored
-    against it. The versions are held quantized (qa2: converted, then
-    requantized), 2 bytes per sample."""
-    ref_q = _prepared_field(config, manifest.load_reference(entry))
-    dists = {tag: _prepared_field(config, manifest.load_distorted(entry, tag))
-             for tag in entry.distorted}
+def _submit_fields(config: TrackConfig, manifest: DatasetManifest, entry: StimulusEntry,
+                   metric_ids, pool, jobs: list) -> None:
+    """Load and prepare (qa2: convert) ``entry``'s reference and distorted
+    fields on the pool, then append three jobs per view to ``jobs`` as each
+    is submitted: the real planes, the imaginary planes (every real metric,
+    ``_score_planes``) and the complex crops (``_score_complex``). The
+    fields are held quantized, 2 bytes per sample, and cropped here."""
+    fields = [pool.submit(_prepared_field, config, manifest, entry, tag)
+              for tag in (None, *entry.distorted)]
+    ref_q, *dists = [f.result() for f in fields]     # the earliest error wins
     m = config.upsample_m if config.track == "qa2" else 1
     ap_size = (entry.aperture_size[0] * m, entry.aperture_size[1] * m)
     for view in manifest.views:
-        ref_scratch = ({}, {}, {})
         ap = ApertureSpec.for_view(view, ref_q.rows, ref_q.cols, ap_size)
         ref_crop = extract_aperture_quantized(ref_q, ap)
-        for tag, dist_q in dists.items():
-            dist_crop = extract_aperture_quantized(dist_q, ap)
-            yield tag, view, -1, _score_field_pair(metric_ids, ref_crop, dist_crop,
-                                                   ref_scratch, pool)
+        crops = [extract_aperture_quantized(q, ap) for q in dists]
+        jobs.append(pool.submit(_score_planes, metric_ids, ref_crop.real_plane,
+                                [c.real_plane for c in crops]))
+        jobs.append(pool.submit(_score_planes, metric_ids, ref_crop.imag_plane,
+                                [c.imag_plane for c in crops]))
+        jobs.append(pool.submit(_score_complex, metric_ids, ref_crop, crops))
+
+
+def _field_samples(manifest: DatasetManifest, entry: StimulusEntry, jobs: list) -> list:
+    """Hologram-domain samples (tag, view, -1, scores) of one stimulus's
+    jobs, read in submission order: each real metric is the mean of its
+    real-plane and imaginary-plane scores."""
+    samples = []
+    triples = iter(jobs)
+    for view, re_job, im_job, complex_job in zip(manifest.views, triples, triples, triples):
+        for tag, re, im, cx in zip(entry.distorted, re_job.result(), im_job.result(),
+                                   complex_job.result()):
+            samples.append((tag, view, -1, {**{mid: 0.5 * (re[mid] + im[mid]) for mid in re},
+                                            **cx}))
+    return samples
 
 
 def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_codes,
                     metric_ids) -> list:
     """One qa3/qa4 job: (tag, scores) of every quantized distorted version at
     one (view, focal), each dequantized, rendered, despeckled with ``wp``
-    (qa4), quantized with the reference's ``bound`` and scored against the
-    reference's 8-bit ``ref_codes`` with a reference scratch of this job's
-    own."""
-    ref_px = ref_codes.astype(np.float64)
-    ref_scratch = {}
-    out = []
-    for tag, dist_q in dists:
+    (qa4) and quantized with the reference's ``bound``, then scored against
+    the reference's 8-bit ``ref_codes`` (``_score_planes``)."""
+    views = []
+    for _, dist_q in dists:
         dist_amp = reconstruct_view(dequantize_components(dist_q), ap, offset)
         if config.track == "qa4":
             dist_amp = wiener_denoise(dist_amp, wp)
-        dist_px = clip_and_quantize_view(dist_amp, bound).astype(np.float64)
-        scratch = {}
-        out.append((tag, {mid: evaluate_real(mid, ref_px, dist_px, scratch=scratch,
-                                             ref_scratch=ref_scratch)
-                          for mid in metric_ids}))
-    return out
+        views.append(clip_and_quantize_view(dist_amp, bound))
+    return list(zip((tag for tag, _ in dists), _score_planes(metric_ids, ref_codes, views)))
 
 
 def _submit_views(config: TrackConfig, manifest: DatasetManifest, entry: StimulusEntry,
                   metric_ids, pool, jobs: list) -> None:
     """Render, despeckle (qa4, AUTO noise resolved here) and quantize each
     (view, focal) of ``entry``'s reference on the calling thread, and append
-    (view, focal_index, job) to ``jobs`` as each job is submitted. The
-    versions are held quantized (2 bytes per sample) and each job
-    dequantizes one at a time, so memory does not grow by a complex field
-    per version; each queued reference view is held as its 8-bit codes."""
+    each (view, focal)'s job to ``jobs`` as it is submitted. The versions are
+    held quantized (2 bytes per sample) and each job dequantizes one at a
+    time, so memory does not grow by a complex field per version; each
+    queued reference view is held as its 8-bit codes."""
     ref = dequantize_components(manifest.load_reference(entry))
     dists = tuple((tag, manifest.load_distorted(entry, tag)) for tag in entry.distorted)
     for view in manifest.views:
         ap = ApertureSpec.for_view(view, ref.rows, ref.cols, entry.aperture_size)
-        for fi, offset in enumerate(entry.focal_offsets):
+        for offset in entry.focal_offsets:
             ref_amp = reconstruct_view(ref, ap, offset)
             wp = None
             if config.track == "qa4":
                 wp = resolve_params(ref_amp, config.wiener)
                 ref_amp = wiener_denoise(ref_amp, wp)
             bound = view_clip_bound(ref_amp, config.clip_percentile)
-            jobs.append((view, fi, pool.submit(
+            jobs.append(pool.submit(
                 _score_versions, config, dists, ap, offset, wp, bound,
-                clip_and_quantize_view(ref_amp, bound), metric_ids)))
+                clip_and_quantize_view(ref_amp, bound), metric_ids))
 
 
-def _view_scores(config: TrackConfig, manifest: DatasetManifest, metric_ids, pool):
-    """(entry, view-domain samples (tag, view, focal_index, scores)) per
-    stimulus, in manifest order, as one job stream: the next stimulus's jobs
-    are submitted (``_submit_views``) before the current one's are read, so
-    the pool keeps working while the calling thread prepares references. On
-    a preparation error it waits for every job submitted, and the earliest
-    job error, else the preparation error, is raised."""
+def _view_samples(manifest: DatasetManifest, entry: StimulusEntry, jobs: list) -> list:
+    """View-domain samples (tag, view, focal_index, scores) of one
+    stimulus's jobs, read in submission order."""
+    sites = [(view, fi) for view in manifest.views for fi in range(len(entry.focal_offsets))]
+    return [(tag, view, fi, scores) for (view, fi), job in zip(sites, jobs)
+            for tag, scores in job.result()]
+
+
+def _job_stream(config: TrackConfig, manifest: DatasetManifest, metric_ids, pool):
+    """(entry, samples) per stimulus, in manifest order, as one job stream:
+    the next stimulus's jobs are submitted (qa1/qa2 ``_submit_fields``,
+    qa3/qa4 ``_submit_views``) before the current one's are read, so the
+    pool keeps working while the calling thread prepares the next stimulus
+    (at most one stimulus ahead). On a submission error it waits for every
+    job submitted, and the earliest job error, else the submission error,
+    is raised."""
+    submit, read = ((_submit_fields, _field_samples) if config.track in ("qa1", "qa2")
+                    else (_submit_views, _view_samples))
     ahead = None
     for entry in manifest.stimuli:
         jobs = []
         try:
-            _submit_views(config, manifest, entry, metric_ids, pool, jobs)
+            submit(config, manifest, entry, metric_ids, pool, jobs)
         except Exception:
-            for _, _, job in (ahead[1] if ahead else []) + jobs:
+            for job in (ahead[1] if ahead else []) + jobs:
                 job.result()        # an earlier job's error wins
             raise
         if ahead:
-            yield _view_samples(*ahead)
+            yield ahead[0], read(manifest, *ahead)
         ahead = entry, jobs
     if ahead:
-        yield _view_samples(*ahead)
-
-
-def _view_samples(entry: StimulusEntry, jobs: list):
-    """(entry, samples) of one stimulus's jobs, read in submission order."""
-    return entry, [(tag, view, fi, scores) for view, fi, job in jobs
-                   for tag, scores in job.result()]
+        yield ahead[0], read(manifest, *ahead)
 
 
 def _mos_lookup(mos_records):
@@ -418,12 +455,7 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
     significance = {}
     tables = []
     with ThreadPoolExecutor(max_workers=2, thread_name_prefix="holoqa-score") as pool:
-        if config.track in ("qa1", "qa2"):
-            scored = ((entry, _field_scores(config, manifest, entry, metric_ids, pool))
-                      for entry in manifest.stimuli)
-        else:
-            scored = _view_scores(config, manifest, metric_ids, pool)
-        for entry, entry_samples in scored:
+        for entry, entry_samples in _job_stream(config, manifest, metric_ids, pool):
             # scored reference-first, recorded in manifest order (tag, view, focal)
             tags = list(entry.distorted)
             samples += [(f"{entry.stimulus_id}:{tag}", view, fi, scores)

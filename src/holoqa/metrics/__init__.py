@@ -10,14 +10,28 @@ formulation; its constants are fixed module values next to it.
 Scratch: ``evaluate_real`` and ``evaluate_complex`` take two optional
 dicts. The pair ``scratch`` lets the metrics of one (ref, dist) pair share
 intermediates: ssrm/ssrmt (and _C) one FFT-magnitude and rank pass per
-image, ssim/iwssim/msssim the full-size luminance and contrast-structure
-maps. Make a new one per pair; it holds one intermediate at a time. The
+image, ssim/iwssim/msssim the distorted image's dyadic scales with their
+luminance and contrast-structure maps. Make a new one per pair; it holds
+one intermediate at a time. The
 ``ref_scratch`` belongs to one reference plane, view or complex crop and
-lives across every distorted version scored against it. It holds only
-reference-only intermediates, one per key and never evicted: fsim's phase
-congruency ("pc"), ssrm/ssrmt's FFT magnitudes and mid-ranks ("spectrum")
-and nlpd's normalized pyramid ("pyramid"). Values are bit-identical to
-calls without either scratch.
+lives across the distorted versions scored against it. It holds only
+reference-only intermediates, one per key and never evicted:
+
+* ssrm/ssrmt (and _C): FFT magnitudes and mid-ranks ("spectrum");
+* ssim/iwssim/msssim: the dyadic scales and their local (mean, variance)
+  ("scales", grown to the most scales asked for), iwssim's detail bands and
+  their 3x3 (mean, variance) ("bands");
+* uqi: the 8x8 block (mean, variance) ("blocks");
+* gmsd: the Prewitt gradient magnitude ("prewitt");
+* fsim: phase congruency ("pc") and the Scharr gradient magnitude ("scharr");
+* nlpd: the normalized pyramid ("pyramid");
+* vifp: its scales and their local (mean, variance) ("vif_scales").
+
+``FAMILIES`` groups the real metrics by the keys they share; no key is
+shared across families, so a caller that scores family by family can give
+each family a fresh reference scratch and drop it before the next, holding
+one family's intermediates at a time. Values are bit-identical to calls
+without either scratch.
 """
 
 from __future__ import annotations
@@ -55,9 +69,13 @@ COMPLEX_METRICS = tuple(f"{mid}_C" for mid in COMPLEX_CAPABLE)
 
 ALL_METRIC_IDS = tuple(REAL_METRICS) + COMPLEX_METRICS
 
+# the real metrics grouped by the scratch keys they share, in Table-1 order
+FAMILIES = (("mse", "nmse", "psnr"), ("ssrm", "ssrmt"), ("ssim", "iwssim", "msssim"),
+            ("uqi",), ("gmsd",), ("fsim",), ("nlpd",), ("vifp",))
+
 # metrics that read and fill a pair scratch, and a reference scratch
 _SCRATCH_METRICS = frozenset({"ssrm", "ssrmt", "ssim", "iwssim", "msssim"})
-_REF_SCRATCH_METRICS = frozenset({"ssrm", "ssrmt", "fsim", "nlpd"})
+_REF_SCRATCH_METRICS = frozenset(REAL_METRICS) - {"mse", "nmse", "psnr"}
 
 # metrics that can emit a per-pixel quality map
 MAP_METRICS = {"ssim": ssim_map, "gmsd": gmsd_map}
@@ -75,6 +93,13 @@ def check_metric_ids(ids) -> tuple:
         if ids.count(mid) > 1:
             raise UnknownMetric(f"metric {mid!r} listed more than once")
     return ids
+
+
+def metric_families(ids) -> tuple:
+    """The real metrics of ``ids`` as the non-empty parts of ``FAMILIES``,
+    in ``FAMILIES`` order."""
+    return tuple(part for part in (tuple(m for m in family if m in ids)
+                                   for family in FAMILIES) if part)
 
 
 def perfect_value(metric_id: str) -> float:

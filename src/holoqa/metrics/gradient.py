@@ -31,18 +31,19 @@ def _gradient_magnitude(img: np.ndarray, smooth: np.ndarray) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
-def gmsd_map(ref, dist) -> np.ndarray:
-    """Gradient-magnitude similarity map (Prewitt gradients, constant T)."""
+def gmsd_map(ref, dist, ref_scratch: dict | None = None) -> np.ndarray:
+    """Gradient-magnitude similarity map (Prewitt gradients, constant T).
+    The reference's gradient magnitude is kept in ``ref_scratch``."""
     ref, dist = _check_pair(ref, dist)
-    g_r = _gradient_magnitude(ref, _PREWITT)
+    g_r = from_ref_scratch(ref_scratch, "prewitt", lambda: _gradient_magnitude(ref, _PREWITT))
     g_d = _gradient_magnitude(dist, _PREWITT)
     t = _GMSD_T
     return (2.0 * g_r * g_d + t) / (g_r * g_r + g_d * g_d + t)
 
 
-def gmsd(ref, dist) -> float:
+def gmsd(ref, dist, ref_scratch: dict | None = None) -> float:
     """Population standard deviation of the similarity map; 0 is perfect."""
-    return float(gmsd_map(ref, dist).std())
+    return float(gmsd_map(ref, dist, ref_scratch).std())
 
 
 # ---------------------------------------------------------------------------
@@ -98,33 +99,38 @@ def _log_gabor_factors(rows: int, cols: int):
 def phase_congruency(img: np.ndarray) -> np.ndarray:
     """Phase-congruency map in [0, 1] from a 4-scale, 4-orientation log-Gabor
     bank: per orientation, the magnitude of the summed complex responses over
-    the summed response magnitudes, accumulated over orientations."""
+    the summed response magnitudes, accumulated over orientations. The
+    filter and filtered spectrum reuse one buffer each, and the responses
+    are summed as complex numbers (component-wise, so the real and imaginary
+    sums are those of separate real sums)."""
     img = np.asarray(img, dtype=np.float64)
     spectrum = sp_fft.fft2(img)
     energy = np.zeros(img.shape)
     amp_sum = np.zeros(img.shape)
+    filt, amp = np.empty(img.shape), np.empty(img.shape)
+    filtered = np.empty(img.shape, dtype=np.complex128)
     with _BANK_LOCK:
         spreads, radials = _log_gabor_factors(*img.shape)
     for spread in spreads:
-        sum_re = np.zeros(img.shape)
-        sum_im = np.zeros(img.shape)
+        total = np.zeros(img.shape, dtype=np.complex128)
         for radial in radials:
-            resp = sp_fft.ifft2(spectrum * (radial * spread), overwrite_x=True)
-            sum_re += resp.real
-            sum_im += resp.imag
-            amp_sum += np.abs(resp)
-        energy += np.sqrt(sum_re * sum_re + sum_im * sum_im)
+            np.multiply(spectrum, np.multiply(radial, spread, out=filt), out=filtered)
+            resp = sp_fft.ifft2(filtered, overwrite_x=True)
+            total += resp
+            amp_sum += np.abs(resp, out=amp)
+        energy += np.sqrt(total.real * total.real + total.imag * total.imag)
     return energy / (amp_sum + _PC_EPS)
 
 
 def fsim(ref, dist, ref_scratch: dict | None = None) -> float:
     """Feature similarity: phase congruency and Scharr gradient similarity,
     pooled with max(PC_ref, PC_dist) weights. Grayscale only (T3 unused).
-    The reference's phase congruency is kept in ``ref_scratch``."""
+    The reference's phase congruency and gradient magnitude are kept in
+    ``ref_scratch``."""
     ref, dist = _check_pair(ref, dist)
     pc_r = from_ref_scratch(ref_scratch, "pc", lambda: phase_congruency(ref))
     pc_d = phase_congruency(dist)
-    g_r = _gradient_magnitude(ref, _SCHARR)
+    g_r = from_ref_scratch(ref_scratch, "scharr", lambda: _gradient_magnitude(ref, _SCHARR))
     g_d = _gradient_magnitude(dist, _SCHARR)
     t1, t2 = _FSIM_T1, _FSIM_T2
     s_pc = (2.0 * pc_r * pc_d + t1) / (pc_r * pc_r + pc_d * pc_d + t1)

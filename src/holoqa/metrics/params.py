@@ -19,7 +19,8 @@ def from_ref_scratch(ref_scratch: dict | None, key, compute):
     """Reference-only intermediate ``key`` of the reference ``ref_scratch``
     belongs to, computed by ``compute()`` on a miss. Nothing is evicted: the
     scratch lives for one reference plane, view or complex crop and holds at
-    most one entry per key, for every distorted version scored against it."""
+    most one entry per key (a list entry may grow), for the distorted
+    versions scored against it."""
     if ref_scratch is None:
         return compute()
     if key not in ref_scratch:

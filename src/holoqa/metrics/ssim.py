@@ -20,7 +20,7 @@ from scipy import fft as sp_fft
 from scipy.ndimage import correlate1d
 
 from ..errors import DegenerateReference, DimMismatch, InputTooSmall
-from .params import from_scratch
+from .params import from_ref_scratch, from_scratch
 
 _WIN = 11                   # Gaussian window side
 _WIN_SIGMA = 1.5
@@ -85,23 +85,30 @@ def fftconvolve(img: np.ndarray, win: np.ndarray, mode: str) -> np.ndarray:
     return out[cut].copy()
 
 
-def _local_stats(ref, dist, filt):
-    """Local means, variances and covariance under the window filter ``filt``
-    (one image in, its filtered valid region out). Every caller passes a
-    ``separable_filter`` but ``uqi``, whose 8x8 box stays on ``fftconvolve``
-    until its raw-score goldens are re-recorded (ROADMAP item 7)."""
+def _ref_stats(ref, filt):
+    """The reference half of ``_local_stats``: its local mean and variance."""
     mu_r = filt(ref)
+    return mu_r, filt(ref * ref) - mu_r * mu_r
+
+
+def _local_stats(ref, dist, filt, ref_stats=None):
+    """Local means, variances and covariance under the window filter ``filt``
+    (one image in, its filtered valid region out). ``ref_stats`` is the
+    reference's ``_ref_stats`` under the same filter, when a reference
+    scratch keeps it. Every caller passes a ``separable_filter`` but ``uqi``,
+    whose 8x8 box stays on ``fftconvolve`` until its raw-score goldens are
+    re-recorded (ROADMAP item 7)."""
+    mu_r, var_r = _ref_stats(ref, filt) if ref_stats is None else ref_stats
     mu_d = filt(dist)
-    var_r = filt(ref * ref) - mu_r * mu_r
     var_d = filt(dist * dist) - mu_d * mu_d
     cov = filt(ref * dist) - mu_r * mu_d
     return mu_r, mu_d, var_r, var_d, cov
 
 
-def _lcs_maps(ref, dist, taps):
+def _lcs_maps(ref, dist, taps, ref_stats):
     """Luminance map and combined contrast-structure map (C3 = C2/2 form)."""
     mu_r, mu_d, var_r, var_d, cov = _local_stats(
-        ref, dist, lambda x: separable_filter(x, taps))
+        ref, dist, lambda x: separable_filter(x, taps), ref_stats)
     lum = (2.0 * mu_r * mu_d + _C1) / (mu_r * mu_r + mu_d * mu_d + _C1)
     cs = (2.0 * cov + _C2) / (var_r + var_d + _C2)
     return lum, cs
@@ -115,34 +122,42 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
     return 0.25 * (img[0::2, 0::2] + img[1::2, 0::2] + img[0::2, 1::2] + img[1::2, 1::2])
 
 
-def _scales(ref, dist, n: int, scratch: dict | None):
+def _scales(ref, dist, n: int, scratch: dict | None, ref_scratch: dict | None):
     """``(ref_j, dist_j, lum_j, cs_j)`` for the first ``n`` dyadic scales,
-    finest first. SSIM, MS-SSIM and IW-SSIM share the full-size maps through
-    ``scratch``; the coarse scales are computed on each call."""
+    finest first. The reference's scales and their (mean, variance) are kept
+    in ``ref_scratch`` ("scales") and the pair's scales and maps in
+    ``scratch`` ("lcs"), so SSIM, MS-SSIM and IW-SSIM compute each scale
+    once; each list grows to the most scales a metric asked for."""
     side = _WIN * 2 ** (n - 1)
     if min(ref.shape) < side:
         raise InputTooSmall(f"input {ref.shape} too small: {n} scale(s) of a "
                             f"{_WIN}x{_WIN} window need {side}x{side}")
     taps = gaussian_window(_WIN, _WIN_SIGMA)
-    scales = [(ref, dist, *from_scratch(scratch, "lcs", lambda: _lcs_maps(ref, dist, taps)))]
-    for _ in range(n - 1):
-        ref, dist = _downsample2(ref), _downsample2(dist)
-        scales.append((ref, dist, *_lcs_maps(ref, dist, taps)))
-    return scales
+    refs = from_ref_scratch(ref_scratch, "scales", list)
+    pair = from_scratch(scratch, "lcs", list)
+    while len(refs) < n:
+        ref_j = _downsample2(refs[-1][0]) if refs else ref
+        refs.append((ref_j, _ref_stats(ref_j, lambda x: separable_filter(x, taps))))
+    for j in range(len(pair), n):
+        dist_j = _downsample2(pair[-1][0]) if pair else dist
+        pair.append((dist_j, *_lcs_maps(refs[j][0], dist_j, taps, refs[j][1])))
+    return [(ref_j, *maps) for (ref_j, _), maps in zip(refs, pair[:n])]
 
 
-def ssim_map(ref, dist, scratch: dict | None = None) -> np.ndarray:
+def ssim_map(ref, dist, scratch: dict | None = None,
+             ref_scratch: dict | None = None) -> np.ndarray:
     """Local SSIM quality map (valid region of the 11x11 Gaussian window)."""
     ref, dist = _check_pair(ref, dist)
-    _, _, lum, cs = _scales(ref, dist, 1, scratch)[0]
+    _, _, lum, cs = _scales(ref, dist, 1, scratch, ref_scratch)[0]
     return lum * cs
 
 
-def ssim(ref, dist, scratch: dict | None = None) -> float:
-    return float(ssim_map(ref, dist, scratch).mean())
+def ssim(ref, dist, scratch: dict | None = None, ref_scratch: dict | None = None) -> float:
+    return float(ssim_map(ref, dist, scratch, ref_scratch).mean())
 
 
-def ms_ssim(ref, dist, scratch: dict | None = None) -> float:
+def ms_ssim(ref, dist, scratch: dict | None = None,
+            ref_scratch: dict | None = None) -> float:
     """Multi-scale SSIM: contrast/structure at every scale, full SSIM at the
     coarsest, combined with the standard exponent weights.
 
@@ -151,7 +166,7 @@ def ms_ssim(ref, dist, scratch: dict | None = None) -> float:
     """
     ref, dist = _check_pair(ref, dist)
     weights = _MSSSIM_WEIGHTS
-    scales = _scales(ref, dist, len(weights), scratch)
+    scales = _scales(ref, dist, len(weights), scratch, ref_scratch)
     score = 1.0
     for j, (_, _, lum, cs) in enumerate(scales):
         qmap = lum * cs if j == len(scales) - 1 else cs
@@ -165,16 +180,19 @@ _IW_SIGMA_NSQ = 0.4    # HVS noise power of the scalar GSM model (8-bit data)
 _IW_WIN = 3
 # rows/columns a 3x3-valid weight map has beyond an 11x11-valid quality map
 _IW_TRIM = (_WIN - _IW_WIN) // 2
+_IW_TAPS = np.full(_IW_WIN, 1.0 / _IW_WIN)
 
 
-def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray) -> np.ndarray:
+def _iw_filter(img: np.ndarray) -> np.ndarray:
+    return separable_filter(img, _IW_TAPS)
+
+
+def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray, ref_stats) -> np.ndarray:
     """Information-content weight from a scalar Gaussian-scale-mixture local
     model (3x3 windows, no parent band): the information the reference band
     carries plus the information surviving the gain/additive-noise channel to
     the distorted band. Non-negative and finite by construction."""
-    taps = np.full(_IW_WIN, 1.0 / _IW_WIN)
-    _, _, var_r, var_d, cov = _local_stats(band_r, band_d,
-                                           lambda x: separable_filter(x, taps))
+    _, _, var_r, var_d, cov = _local_stats(band_r, band_d, _iw_filter, ref_stats)
     var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
     gain = np.where(var_r > 0, cov / np.maximum(var_r, np.finfo(float).tiny), 0.0)
     vv = np.maximum(var_d - gain * cov, 0.0)
@@ -191,43 +209,57 @@ def _upsample2(img: np.ndarray, shape) -> np.ndarray:
     return separable_filter(up, np.array([0.5, 1.0, 0.5]), mode="same")
 
 
-def iw_ssim(ref, dist, scratch: dict | None = None) -> float:
+def _detail_bands(scales) -> list:
+    """One image's detail band per scale of ``scales`` (its images, finest
+    first): each scale less its coarser neighbour upsampled; the coarsest
+    scale is its own band."""
+    bands = [img - _upsample2(low, img.shape) for img, low in zip(scales, scales[1:])]
+    return bands + [scales[-1]]
+
+
+def _ref_bands(ref_scales) -> list:
+    """(band, ``_ref_stats`` under the 3x3 box) of each reference detail band."""
+    return [(band, _ref_stats(band, _iw_filter))
+            for band in _detail_bands([ref_j for ref_j, _, _, _ in ref_scales])]
+
+
+def iw_ssim(ref, dist, scratch: dict | None = None,
+            ref_scratch: dict | None = None) -> float:
     """Information-content-weighted multi-scale SSIM over a Laplacian-style
     pyramid. Per-scale contrast/structure maps are pooled with information
     weights derived from the detail bands; the coarsest scale contributes a
-    full (weighted) SSIM term."""
+    full (weighted) SSIM term. The reference's bands and their 3x3 statistics
+    are kept in ``ref_scratch`` ("bands")."""
     ref, dist = _check_pair(ref, dist)
     weights = _MSSSIM_WEIGHTS
-    scales = _scales(ref, dist, len(weights), scratch)
+    scales = _scales(ref, dist, len(weights), scratch, ref_scratch)
+    ref_bands = from_ref_scratch(ref_scratch, "bands", lambda: _ref_bands(scales))
+    dist_bands = _detail_bands([dist_j for _, dist_j, _, _ in scales])
     score = 1.0
-    for j, (ref_j, dist_j, lum, cs) in enumerate(scales):
-        if j == len(scales) - 1:
-            qmap, band_r, band_d = lum * cs, ref_j, dist_j
-        else:
-            low_r, low_d = scales[j + 1][:2]
-            qmap = cs
-            band_r = ref_j - _upsample2(low_r, ref_j.shape)
-            band_d = dist_j - _upsample2(low_d, dist_j.shape)
-        wmap = _info_weight_map(band_r, band_d)[_IW_TRIM:-_IW_TRIM, _IW_TRIM:-_IW_TRIM]
+    for j, ((_, _, lum, cs), (band_r, stats), band_d) in enumerate(
+            zip(scales, ref_bands, dist_bands)):
+        qmap = lum * cs if j == len(scales) - 1 else cs
+        wmap = _info_weight_map(band_r, band_d, stats)[_IW_TRIM:-_IW_TRIM, _IW_TRIM:-_IW_TRIM]
         wsum = wmap.sum()
         factor = float((wmap * qmap).sum() / wsum) if wsum > 0 else float(qmap.mean())
         score *= max(factor, 0.0) ** weights[j]
     return score
 
 
-def uqi(ref, dist) -> float:
+def uqi(ref, dist, ref_scratch: dict | None = None) -> float:
     """Universal Quality Index: unregularized SSIM on sliding 8x8 blocks.
 
     Blocks with a zero denominator contribute the limit value 1 when both
-    blocks are the same constant, and are skipped otherwise.
+    blocks are the same constant, and are skipped otherwise. The reference's
+    block means and variances are kept in ``ref_scratch`` ("blocks").
     """
     ref, dist = _check_pair(ref, dist)
     b = _UQI_BLOCK
     if ref.shape[0] < b or ref.shape[1] < b:
         raise InputTooSmall(f"input {ref.shape} smaller than {b}x{b} block")
-    win = np.full((b, b), 1.0 / (b * b))
-    mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist,
-                                                 lambda x: fftconvolve(x, win, "valid"))
+    filt = functools.partial(fftconvolve, win=np.full((b, b), 1.0 / (b * b)), mode="valid")
+    ref_stats = from_ref_scratch(ref_scratch, "blocks", lambda: _ref_stats(ref, filt))
+    mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, filt, ref_stats)
     den_l = mu_r * mu_r + mu_d * mu_d
     den_cs = var_r + var_d
     defined = (den_l != 0.0) & (den_cs != 0.0)

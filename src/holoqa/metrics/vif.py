@@ -11,28 +11,43 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateReference
-from .ssim import _check_pair, _local_stats, gaussian_window, separable_filter
+from .params import from_ref_scratch
+from .ssim import _check_pair, _local_stats, _ref_stats, gaussian_window, separable_filter
 
 _SIGMA_NSQ = 2.0
 _VAR_EPS = 1e-10
 _SCALES = 4
 
 
-def vifp(ref, dist) -> float:
-    ref, dist = _check_pair(ref, dist)
-    num = 0.0
-    den = 0.0
-    tiny = np.finfo(np.float64).tiny
+def _ref_scales(ref: np.ndarray) -> list:
+    """(taps, ref_s, ``_ref_stats`` under the taps) of each scale the
+    reference is large enough for, finest first: scale s > 1 is scale s-1
+    filtered with its own taps and decimated by 2."""
+    out = []
     for scale in range(1, _SCALES + 1):
         n = 2 ** (_SCALES - scale + 1) + 1
         taps = gaussian_window(n, n / 5.0)
         if scale > 1:
             ref = separable_filter(ref, taps)[::2, ::2]
-            dist = separable_filter(dist, taps)[::2, ::2]
         if ref.shape[0] < n or ref.shape[1] < n:
             break
-        _, _, var_r, var_d, cov = _local_stats(ref, dist,
-                                               lambda x: separable_filter(x, taps))
+        out.append((taps, ref, _ref_stats(ref, lambda x: separable_filter(x, taps))))
+    return out
+
+
+def vifp(ref, dist, ref_scratch: dict | None = None) -> float:
+    """VIFp over the reference's scales; those scales and their local
+    statistics are kept in ``ref_scratch`` ("vif_scales")."""
+    ref, dist = _check_pair(ref, dist)
+    num = 0.0
+    den = 0.0
+    tiny = np.finfo(np.float64).tiny
+    for scale, (taps, ref_s, stats) in enumerate(
+            from_ref_scratch(ref_scratch, "vif_scales", lambda: _ref_scales(ref))):
+        if scale:
+            dist = separable_filter(dist, taps)[::2, ::2]
+        _, _, var_r, var_d, cov = _local_stats(
+            ref_s, dist, lambda x: separable_filter(x, taps), stats)
         var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
         # roundoff-scale variances on flat regions carry no information
         var_r[var_r < _VAR_EPS] = 0.0

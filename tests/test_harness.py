@@ -374,9 +374,42 @@ def _watched_stimulus_renders(monkeypatch, manifest, hook):
     monkeypatch.setattr(harness, "reconstruct_view", watched)
 
 
+def _watched_field_stream(monkeypatch, manifest, config, convert_hook, score_hook):
+    """Patch ``holoqa.harness.fourier_to_fresnel`` and ``evaluate_real`` so
+    that each call first calls ``convert_hook(stimulus_index, on_worker)`` or
+    ``score_hook(stimulus_index)``; the stimulus is told by the converted
+    field's data or by the scored reference plane."""
+    owner = {}
+    m = config.upsample_m if config.track == "qa2" else 1
+    for i, entry in enumerate(manifest.stimuli):
+        for q in (manifest.load_reference(entry),
+                  *(manifest.load_distorted(entry, tag) for tag in entry.distorted)):
+            owner[harness.dequantize_components(q).data.tobytes()] = i
+        ref_q = harness._prepared_field(config, manifest, entry)
+        size = (entry.aperture_size[0] * m, entry.aperture_size[1] * m)
+        for view in manifest.views:
+            crop = harness.extract_aperture_quantized(
+                ref_q, ApertureSpec.for_view(view, ref_q.rows, ref_q.cols, size))
+            for plane in (crop.real_plane, crop.imag_plane):
+                owner[plane.astype(np.float64).tobytes()] = i
+    convert, evaluate = harness.fourier_to_fresnel, harness.evaluate_real
+
+    def watched_convert(f, m):
+        convert_hook(owner[f.data.tobytes()],
+                     threading.current_thread().name.startswith("holoqa-score"))
+        return convert(f, m)
+
+    def watched_evaluate(metric_id, ref, dist, **kwargs):
+        score_hook(owner[ref.tobytes()])
+        return evaluate(metric_id, ref, dist, **kwargs)
+    monkeypatch.setattr(harness, "fourier_to_fresnel", watched_convert)
+    monkeypatch.setattr(harness, "evaluate_real", watched_evaluate)
+
+
 class TestJobStream:
-    """qa3/qa4 submit the next stimulus's jobs before reading the current
-    one's; the error of the earliest (stimulus, view, focal) still wins."""
+    """Every track submits the next stimulus's jobs before reading the
+    current one's; the error of the earliest (stimulus, view, focal) still
+    wins, and a qa1/qa2 stimulus's fields are converted on the pool."""
 
     def test_earlier_stimulus_job_error_wins_over_later_reference_error(
             self, two_stimuli, monkeypatch):
@@ -441,6 +474,65 @@ class TestJobStream:
             (f"{entry.stimulus_id}:{tag}", view, fi)
             for entry in manifest.stimuli for tag in entry.distorted
             for view in manifest.views for fi in range(len(entry.focal_offsets))]
+
+    def test_field_job_error_wins_over_later_conversion_error(self, two_stimuli,
+                                                             monkeypatch):
+        manifest, mos = two_stimuli
+        config = TrackConfig("qa2", metrics=("mse", "psnr_C"))
+        converted = threading.Event()
+        first = threading.Lock()
+        waited, on_workers = [], []
+
+        def convert_hook(i, on_worker):
+            on_workers.append(on_worker)
+            if i == 1:
+                converted.set()
+                raise InvalidField("conversion of stimulus #2")
+
+        def score_hook(i):
+            if i == 0 and first.acquire(blocking=False):
+                # the next stimulus's fields convert while this job runs
+                waited.append(converted.wait(5))
+                raise DegenerateReference("job of stimulus #1")
+        _watched_field_stream(monkeypatch, manifest, config, convert_hook, score_hook)
+        with pytest.raises(DegenerateReference, match="stimulus #1"):
+            run_track(manifest, mos, config)
+        assert waited == [True]
+        assert on_workers and all(on_workers)
+        assert _view_pool_threads() == []
+
+    @pytest.mark.parametrize("track", ["qa1", "qa2"])
+    def test_field_job_error_wins_over_later_job_error(self, two_stimuli, monkeypatch,
+                                                       track):
+        manifest, mos = two_stimuli
+        config = TrackConfig(track, metrics=("mse", "ssim"))
+        later_raised = threading.Event()
+        first = threading.Lock()
+
+        def score_hook(i):
+            if i == 0 and first.acquire(blocking=False):
+                later_raised.wait(5)    # a job of stimulus #2 raises first
+                raise DegenerateReference("job of stimulus #1")
+            if i == 1:
+                later_raised.set()
+                raise DimMismatch("job of stimulus #2")
+        _watched_field_stream(monkeypatch, manifest, config, lambda i, w: None, score_hook)
+        with pytest.raises(DegenerateReference, match="stimulus #1"):
+            run_track(manifest, mos, config)
+        assert later_raised.is_set()
+        assert _view_pool_threads() == []
+
+    @pytest.mark.parametrize("track", ["qa1", "qa2"])
+    def test_field_samples_keep_manifest_order(self, two_stimuli, track):
+        manifest, mos = two_stimuli
+        ids = ("mse", "psnr_C")
+        report = run_track(manifest, mos, TrackConfig(track, metrics=ids))
+        assert [(r.stimulus_id, r.view, r.focal_index, r.metric_id)
+                for r in report.raw_scores] == [
+            (f"{entry.stimulus_id}:{tag}", view, -1, mid)
+            for entry in manifest.stimuli for tag in entry.distorted
+            for view in manifest.views for mid in ids]
+        assert _view_pool_threads() == []
 
 
 class TestFitsOnPool:
@@ -523,29 +615,30 @@ def _planes(q):
 
 
 class TestComponentAveraging:
-    """qa1/qa2 score each real metric's imaginary planes on the run's pool
-    while the calling thread scores the real planes."""
+    """qa1/qa2 score the real planes and the imaginary planes of a view as two
+    jobs on the run's pool and average them; ``score_components_avg`` scores
+    one metric's two planes, the imaginary one on a pool."""
 
     def test_threaded_planes_equal_serial_average(self, image, noisy_versions):
         ref_q = _quantized(image)
         ref_re, ref_im = _planes(ref_q)
-        planes_ref = ({}, {})        # cold for the first version, then warm
+        dists = [_quantized(dist) for dist in noisy_versions]
+        ids = tuple(REAL_METRICS)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            for dist in noisy_versions:
-                dist_q = _quantized(dist)
+            # the two plane jobs of one view, running at once
+            re_job = pool.submit(harness._score_planes, ids, ref_q.real_plane,
+                                 [q.real_plane for q in dists])
+            im_job = pool.submit(harness._score_planes, ids, ref_q.imag_plane,
+                                 [q.imag_plane for q in dists])
+            for dist_q, re, im in zip(dists, re_job.result(), im_job.result()):
                 dist_re, dist_im = _planes(dist_q)
-                planes = ({}, {})
-                for mid in REAL_METRICS:
+                for mid in ids:
                     want = 0.5 * (evaluate_real(mid, ref_re, dist_re)
                                   + evaluate_real(mid, ref_im, dist_im))
+                    assert 0.5 * (re[mid] + im[mid]) == want, mid
                     got = score_components_avg(mid, ref_q, dist_q, (None, None),
                                                (None, None), pool)
                     assert got == want, mid
-                    got = score_components_avg(mid, ref_q, dist_q, planes, planes_ref,
-                                               pool)
-                    assert got == want, mid
-        ref_keys = {"pc", "spectrum", "pyramid"}
-        assert [set(r) for r in planes_ref] == [ref_keys, ref_keys]
 
     @pytest.mark.parametrize("failing, raised", [
         ({"real", "imag"}, DegenerateReference),
@@ -598,19 +691,94 @@ class TestComponentAveraging:
     def test_qa1_run_scores_planes_on_at_most_two_pool_threads(self, dots_dataset,
                                                                monkeypatch):
         manifest, mos = dots_dataset
-        threads = []
-        evaluate = metrics.evaluate_real
+        threads = {"real": [], "complex": []}
+        for kind in threads:
+            evaluate = getattr(harness, f"evaluate_{kind}")
 
-        def recorded(*args, **kwargs):
-            threads.append(threading.current_thread())
-            return evaluate(*args, **kwargs)
-        monkeypatch.setattr(metrics, "evaluate_real", recorded)
-        run_track(manifest, mos, TrackConfig("qa1", metrics=("mse", "ssim")))
+            def recorded(*args, _evaluate=evaluate, _kind=kind, **kwargs):
+                threads[_kind].append(threading.current_thread())
+                return _evaluate(*args, **kwargs)
+            monkeypatch.setattr(harness, f"evaluate_{kind}", recorded)
+        run_track(manifest, mos, TrackConfig("qa1", metrics=("mse", "ssim", "psnr_C")))
         (entry,) = manifest.stimuli
-        assert len(threads) == 2 * 2 * len(manifest.views) * len(entry.distorted)
-        workers = {t for t in threads if t is not threading.main_thread()}
+        pairs = len(manifest.views) * len(entry.distorted)
+        assert len(threads["real"]) == 2 * 2 * pairs
+        assert len(threads["complex"]) == pairs
+        workers = set(threads["real"] + threads["complex"])
         assert 1 <= len(workers) <= 2
         assert all(t.name.startswith("holoqa-score") for t in workers)
+
+
+class TestFamilyMajor:
+    """Every scoring job scores family-major: per metric family a fresh
+    reference scratch, dropped before the next family starts."""
+
+    def _recorded(self, monkeypatch):
+        """Patch ``holoqa.harness.evaluate_real``; returns the (family,
+        families whose keys the reference scratch holds) of every call."""
+        family_of = {mid: family[0] for family in metrics.FAMILIES for mid in family}
+        owner = {}
+        calls = []
+        evaluate = harness.evaluate_real
+
+        def recorded(metric_id, ref, dist, scratch=None, ref_scratch=None):
+            value = evaluate(metric_id, ref, dist, scratch=scratch, ref_scratch=ref_scratch)
+            for key in ref_scratch:
+                owner.setdefault(key, family_of[metric_id])
+            calls.append((family_of[metric_id], {owner[key] for key in ref_scratch}))
+            return value
+        monkeypatch.setattr(harness, "evaluate_real", recorded)
+        return calls, owner
+
+    def _check(self, calls, owner, n_versions):
+        assert [family for family, _ in calls] == [
+            family[0] for family in metrics.FAMILIES
+            for _ in range(n_versions) for _ in family]
+        assert all(held <= {family} for family, held in calls)
+        assert len(owner) == 9      # every key, each held by its family only
+
+    def test_scores_equal_scratch_free_and_scratch_holds_one_family(
+            self, demo_dataset, monkeypatch):
+        manifest = load_manifest(demo_dataset["manifest"])
+        entry = manifest.stimuli[0]
+        ref_q = manifest.load_reference(entry)
+        dists = [(tag, manifest.load_distorted(entry, tag)) for tag in entry.distorted]
+        assert len(dists) >= 3
+        ids = tuple(REAL_METRICS)
+        assert sorted(mid for family in metrics.FAMILIES for mid in family) == sorted(ids)
+        ap = ApertureSpec.for_view("center", ref_q.rows, ref_q.cols, entry.aperture_size)
+        calls, owner = self._recorded(monkeypatch)
+
+        # hologram planes
+        ref_crop = harness.extract_aperture_quantized(ref_q, ap)
+        crops = [harness.extract_aperture_quantized(q, ap) for _, q in dists]
+        for plane in ("real_plane", "imag_plane"):
+            calls.clear()
+            got = harness._score_planes(ids, getattr(ref_crop, plane),
+                                        [getattr(c, plane) for c in crops])
+            self._check(calls, owner, len(dists))
+            ref = getattr(ref_crop, plane).astype(np.float64)
+            for crop, scores in zip(crops, got):
+                dist = getattr(crop, plane).astype(np.float64)
+                for mid in ids:
+                    assert scores[mid] == metrics.evaluate_real(mid, ref, dist), mid
+
+        # rendered views, as a qa3 job renders and scores them
+        offset = entry.focal_offsets[0]
+        ref_amp = harness.reconstruct_view(harness.dequantize_components(ref_q), ap, offset)
+        bound = harness.view_clip_bound(ref_amp, 99.9)
+        ref_codes = harness.clip_and_quantize_view(ref_amp, bound)
+        calls.clear()
+        got = harness._score_versions(TrackConfig("qa3"), dists, ap, offset, None, bound,
+                                      ref_codes, ids)
+        self._check(calls, owner, len(dists))
+        assert [tag for tag, _ in got] == list(entry.distorted)
+        for (_, q), (_, scores) in zip(dists, got):
+            amp = harness.reconstruct_view(harness.dequantize_components(q), ap, offset)
+            dist = harness.clip_and_quantize_view(amp, bound).astype(np.float64)
+            for mid in ids:
+                assert scores[mid] == metrics.evaluate_real(
+                    mid, ref_codes.astype(np.float64), dist), mid
 
 
 def test_traced_attributes_resolve():

@@ -21,6 +21,7 @@ from holoqa.errors import (
 from holoqa.metrics import (
     ALL_METRIC_IDS,
     COMPLEX_METRICS,
+    FAMILIES,
     REAL_METRICS,
     evaluate_complex,
     evaluate_real,
@@ -475,20 +476,25 @@ class TestSharing:
             assert evaluate_complex(mid, fr, fd, scratch=scratch) == want, mid
 
     def test_ref_scratch_values_bit_identical(self, image, noisy_versions):
-        ref_keys = {"pc", "spectrum", "pyramid"}
+        family_keys = {"mse": set(), "ssrm": {"spectrum"}, "ssim": {"scales", "bands"},
+                       "uqi": {"blocks"}, "gmsd": {"prewitt"}, "fsim": {"pc", "scharr"},
+                       "nlpd": {"pyramid"}, "vifp": {"vif_scales"}}
 
         def field(img):
             return img + 1j * img[::-1]
 
-        # views: one warm reference scratch across the distorted versions
-        view_ref = {}
-        for dist in noisy_versions:
-            scratch = {}
-            for mid in REAL_METRICS:
-                want = evaluate_real(mid, image, dist)
-                got = evaluate_real(mid, image, dist, scratch=scratch, ref_scratch=view_ref)
-                assert got == want, mid
-        assert set(view_ref) == ref_keys
+        # views: per family, one warm reference scratch across the versions
+        assert [family[0] for family in FAMILIES] == list(family_keys)
+        for family in FAMILIES:
+            view_ref = {}
+            for dist in noisy_versions:
+                scratch = {}
+                for mid in family:
+                    want = evaluate_real(mid, image, dist)
+                    got = evaluate_real(mid, image, dist, scratch=scratch,
+                                        ref_scratch=view_ref)
+                    assert got == want, mid
+            assert set(view_ref) == family_keys[family[0]], family
 
         # complex crops
         complex_ref = {}
