@@ -32,7 +32,9 @@ family gets a reference scratch of its own, which keeps the reference-only
 intermediates across the versions and is dropped before the next family.
 No error leaves ``run_track`` before every submitted job has ended, and the
 error of the earliest (stimulus, view, focal) wins, from a preparation or a
-job. The logistic fits of every (display, metric) then run on the same pool.
+job. Within one (view, focal), errors are raised in job order (qa1/qa2: real
+planes, imaginary planes, complex crops) and, inside a job, in family and
+then version order. The logistic fits of every (display, metric) then run on the same pool.
 
 Evaluation samples are one score per (stimulus, view) for qa1/qa2 and one per
 (stimulus, view, focal plane) for qa3/qa4; MOS records are matched at the

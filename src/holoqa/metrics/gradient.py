@@ -100,24 +100,20 @@ def phase_congruency(img: np.ndarray) -> np.ndarray:
     """Phase-congruency map in [0, 1] from a 4-scale, 4-orientation log-Gabor
     bank: per orientation, the magnitude of the summed complex responses over
     the summed response magnitudes, accumulated over orientations. The
-    filter and filtered spectrum reuse one buffer each, and the responses
-    are summed as complex numbers (component-wise, so the real and imaginary
-    sums are those of separate real sums)."""
+    responses are summed as complex numbers (component-wise, so the real and
+    imaginary sums are those of separate real sums)."""
     img = np.asarray(img, dtype=np.float64)
     spectrum = sp_fft.fft2(img)
     energy = np.zeros(img.shape)
     amp_sum = np.zeros(img.shape)
-    filt, amp = np.empty(img.shape), np.empty(img.shape)
-    filtered = np.empty(img.shape, dtype=np.complex128)
     with _BANK_LOCK:
         spreads, radials = _log_gabor_factors(*img.shape)
     for spread in spreads:
         total = np.zeros(img.shape, dtype=np.complex128)
         for radial in radials:
-            np.multiply(spectrum, np.multiply(radial, spread, out=filt), out=filtered)
-            resp = sp_fft.ifft2(filtered, overwrite_x=True)
+            resp = sp_fft.ifft2(spectrum * (radial * spread), overwrite_x=True)
             total += resp
-            amp_sum += np.abs(resp, out=amp)
+            amp_sum += np.abs(resp)
         energy += np.sqrt(total.real * total.real + total.imag * total.imag)
     return energy / (amp_sum + _PC_EPS)
 

@@ -624,6 +624,7 @@ class TestComponentAveraging:
         ref_re, ref_im = _planes(ref_q)
         dists = [_quantized(dist) for dist in noisy_versions]
         ids = tuple(REAL_METRICS)
+        planes_ref = ({}, {})        # cold for the first version, then warm
         with ThreadPoolExecutor(max_workers=2) as pool:
             # the two plane jobs of one view, running at once
             re_job = pool.submit(harness._score_planes, ids, ref_q.real_plane,
@@ -639,6 +640,19 @@ class TestComponentAveraging:
                     got = score_components_avg(mid, ref_q, dist_q, (None, None),
                                                (None, None), pool)
                     assert got == want, mid
+            # version-major: one warm reference scratch pair across all 13 metrics
+            for dist_q in dists:
+                dist_re, dist_im = _planes(dist_q)
+                planes = ({}, {})
+                for mid in ids:
+                    want = 0.5 * (evaluate_real(mid, ref_re, dist_re)
+                                  + evaluate_real(mid, ref_im, dist_im))
+                    got = score_components_avg(mid, ref_q, dist_q, planes, planes_ref,
+                                               pool)
+                    assert got == want, mid
+        ref_keys = {"spectrum", "scales", "bands", "blocks", "prewitt", "pc", "scharr",
+                    "pyramid", "vif_scales"}
+        assert [set(r) for r in planes_ref] == [ref_keys, ref_keys]
 
     @pytest.mark.parametrize("failing, raised", [
         ({"real", "imag"}, DegenerateReference),

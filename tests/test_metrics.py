@@ -496,6 +496,16 @@ class TestSharing:
                     assert got == want, mid
             assert set(view_ref) == family_keys[family[0]], family
 
+        # views: one warm reference scratch shared by every family
+        view_ref = {}
+        for dist in noisy_versions:
+            scratch = {}
+            for mid in REAL_METRICS:
+                want = evaluate_real(mid, image, dist)
+                got = evaluate_real(mid, image, dist, scratch=scratch, ref_scratch=view_ref)
+                assert got == want, mid
+        assert set(view_ref) == set().union(*family_keys.values())
+
         # complex crops
         complex_ref = {}
         for dist in noisy_versions:
