@@ -97,11 +97,15 @@ def _local_stats(ref, dist, filt, ref_stats=None):
     reference's ``_ref_stats`` under the same filter, when a reference
     scratch keeps it. Every caller passes a ``separable_filter`` but ``uqi``,
     whose 8x8 box stays on ``fftconvolve`` until its raw-score goldens are
-    re-recorded (ROADMAP item 7)."""
+    re-recorded (ROADMAP item 7). The distorted mean is filtered last, as
+    it needs no product image, and the variance and covariance subtract
+    into their filtered maps, so at most four maps are alive at once."""
     mu_r, var_r = _ref_stats(ref, filt) if ref_stats is None else ref_stats
+    var_d = filt(dist * dist)
+    cov = filt(ref * dist)
     mu_d = filt(dist)
-    var_d = filt(dist * dist) - mu_d * mu_d
-    cov = filt(ref * dist) - mu_r * mu_d
+    var_d -= mu_d * mu_d
+    cov -= mu_r * mu_d
     return mu_r, mu_d, var_r, var_d, cov
 
 
@@ -191,13 +195,33 @@ def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray, ref_stats) -> np.nd
     """Information-content weight from a scalar Gaussian-scale-mixture local
     model (3x3 windows, no parent band): the information the reference band
     carries plus the information surviving the gain/additive-noise channel to
-    the distorted band. Non-negative and finite by construction."""
-    _, _, var_r, var_d, cov = _local_stats(band_r, band_d, _iw_filter, ref_stats)
-    var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
-    gain = np.where(var_r > 0, cov / np.maximum(var_r, np.finfo(float).tiny), 0.0)
-    vv = np.maximum(var_d - gain * cov, 0.0)
+    the distorted band. Non-negative and finite by construction.
+
+    It is log2(1 + var_r/c) + log2(1 + gain^2 var_r/(vv + c)) with var_r
+    and var_d clipped at 0, each step written into a map this call owns
+    (never into ``ref_stats``): gain reads the unclipped var_r, as
+    max(max(v, 0), tiny) is max(v, tiny) and max(v, 0) > 0 is v > 0, and
+    the clipped var_r takes the spent covariance's map."""
+    var_r, var_d, cov = _local_stats(band_r, band_d, _iw_filter, ref_stats)[2:]
+    np.maximum(var_d, 0.0, out=var_d)
+    gain = np.maximum(var_r, np.finfo(float).tiny)
+    np.divide(cov, gain, out=gain)
+    gain[~(var_r > 0)] = 0.0
+    vv = var_d
+    vv -= np.multiply(gain, cov, out=cov)
+    np.maximum(vv, 0.0, out=vv)
+    var_r = np.maximum(var_r, 0.0, out=cov)
     c = _IW_SIGMA_NSQ
-    return np.log2(1.0 + var_r / c) + np.log2(1.0 + gain * gain * var_r / (vv + c))
+    info_d = np.multiply(gain, gain, out=gain)
+    info_d *= var_r
+    vv += c
+    info_d /= vv
+    del vv, var_d
+    info_d = np.log2(np.add(1.0, info_d, out=info_d), out=info_d)
+    info_r = var_r / c
+    info_r = np.log2(np.add(1.0, info_r, out=info_r), out=info_r)
+    info_r += info_d
+    return info_r
 
 
 def _upsample2(img: np.ndarray, shape) -> np.ndarray:
@@ -209,18 +233,21 @@ def _upsample2(img: np.ndarray, shape) -> np.ndarray:
     return separable_filter(up, np.array([0.5, 1.0, 0.5]), mode="same")
 
 
-def _detail_bands(scales) -> list:
-    """One image's detail band per scale of ``scales`` (its images, finest
-    first): each scale less its coarser neighbour upsampled; the coarsest
-    scale is its own band."""
-    bands = [img - _upsample2(low, img.shape) for img, low in zip(scales, scales[1:])]
-    return bands + [scales[-1]]
+def _detail_band(scales, j: int) -> np.ndarray:
+    """Detail band ``j`` of one image's ``scales`` (finest first): scale j
+    less scale j + 1 upsampled; the coarsest scale is its own band."""
+    img = scales[j]
+    if j == len(scales) - 1:
+        return img
+    band = _upsample2(scales[j + 1], img.shape)
+    return np.subtract(img, band, out=band)
 
 
 def _ref_bands(ref_scales) -> list:
     """(band, ``_ref_stats`` under the 3x3 box) of each reference detail band."""
+    imgs = [ref_j for ref_j, _, _, _ in ref_scales]
     return [(band, _ref_stats(band, _iw_filter))
-            for band in _detail_bands([ref_j for ref_j, _, _, _ in ref_scales])]
+            for band in (_detail_band(imgs, j) for j in range(len(imgs)))]
 
 
 def iw_ssim(ref, dist, scratch: dict | None = None,
@@ -229,17 +256,18 @@ def iw_ssim(ref, dist, scratch: dict | None = None,
     pyramid. Per-scale contrast/structure maps are pooled with information
     weights derived from the detail bands; the coarsest scale contributes a
     full (weighted) SSIM term. The reference's bands and their 3x3 statistics
-    are kept in ``ref_scratch`` ("bands")."""
+    are kept in ``ref_scratch`` ("bands"); each distorted band is formed at
+    its own scale."""
     ref, dist = _check_pair(ref, dist)
     weights = _MSSSIM_WEIGHTS
     scales = _scales(ref, dist, len(weights), scratch, ref_scratch)
     ref_bands = from_ref_scratch(ref_scratch, "bands", lambda: _ref_bands(scales))
-    dist_bands = _detail_bands([dist_j for _, dist_j, _, _ in scales])
+    dists = [dist_j for _, dist_j, _, _ in scales]
     score = 1.0
-    for j, ((_, _, lum, cs), (band_r, stats), band_d) in enumerate(
-            zip(scales, ref_bands, dist_bands)):
+    for j, ((_, _, lum, cs), (band_r, stats)) in enumerate(zip(scales, ref_bands)):
         qmap = lum * cs if j == len(scales) - 1 else cs
-        wmap = _info_weight_map(band_r, band_d, stats)[_IW_TRIM:-_IW_TRIM, _IW_TRIM:-_IW_TRIM]
+        wmap = _info_weight_map(band_r, _detail_band(dists, j),
+                                stats)[_IW_TRIM:-_IW_TRIM, _IW_TRIM:-_IW_TRIM]
         wsum = wmap.sum()
         factor = float((wmap * qmap).sum() / wsum) if wsum > 0 else float(qmap.mean())
         score *= max(factor, 0.0) ** weights[j]

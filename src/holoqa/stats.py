@@ -125,16 +125,25 @@ def pcc(x, y) -> float:
 def midranks(x) -> np.ndarray:
     """1-based ranks of the flattened ``x``, ties sharing the mean of their
     span: the values of ``scipy.stats.rankdata(x, method="average")`` (exact,
-    as mid-ranks are half-integers). Any NaN makes every rank NaN."""
+    as mid-ranks are half-integers). Any NaN makes every rank NaN. The sorted
+    copy is dropped before the ranks are built, and each tie group's
+    mid-rank start + (count + 1) / 2 is formed in one array."""
     x = np.ravel(x)
     order = np.argsort(x)
     s = x[order]
     if s.size and np.isnan(s[-1]):      # argsort puts NaN last
         return np.full(s.size, np.nan)
     starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    ends = np.r_[starts[1:], s.size]
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    del s
+    counts = np.diff(starts, append=order.size)
+    mids = 0.5 * counts
+    mids += starts
+    mids += 0.5
+    del starts
+    sorted_ranks = np.repeat(mids, counts)
+    del mids, counts
+    ranks = np.empty(order.size)
+    ranks[order] = sorted_ranks
     return ranks
 
 

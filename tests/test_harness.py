@@ -794,6 +794,85 @@ class TestFamilyMajor:
                 assert scores[mid] == metrics.evaluate_real(
                     mid, ref_codes.astype(np.float64), dist), mid
 
+    def test_complex_scores_equal_scratch_free(self, demo_dataset):
+        """A complex-crop job keeps one reference scratch across its versions
+        (the FFT ranks ssrm_C and ssrmt_C share); its scores equal
+        scratch-free ``evaluate_complex`` bit for bit."""
+        manifest = load_manifest(demo_dataset["manifest"])
+        entry = manifest.stimuli[0]
+        ref_q = manifest.load_reference(entry)
+        ap = ApertureSpec.for_view("center", ref_q.rows, ref_q.cols, entry.aperture_size)
+        ref_crop = harness.extract_aperture_quantized(ref_q, ap)
+        crops = [harness.extract_aperture_quantized(manifest.load_distorted(entry, tag), ap)
+                 for tag in entry.distorted]
+        assert len(crops) >= 3
+        ids = ("mse", *metrics.COMPLEX_METRICS)      # the real id is not scored
+        got = harness._score_complex(ids, ref_crop, crops)
+        ref = harness.dequantize_components(ref_crop).data
+        for crop, scores in zip(crops, got):
+            dist = harness.dequantize_components(crop).data
+            assert list(scores) == list(metrics.COMPLEX_METRICS)
+            for mid in metrics.COMPLEX_METRICS:
+                assert scores[mid] == metrics.evaluate_complex(mid, ref, dist), mid
+
+
+@pytest.fixture(scope="module")
+def qa2_view(demo_dataset):
+    """The reference crop and three distorted crops of one qa2 view, as a
+    qa2-demo job scores them: 384x384 Fresnel planes (256^2 fields, m = 2)."""
+    manifest = load_manifest(demo_dataset["manifest"])
+    entry = manifest.stimuli[0]
+    config = TrackConfig("qa2")
+    ref_q, *dists = [harness._prepared_field(config, manifest, entry, tag)
+                     for tag in (None, *entry.distorted)]
+    size = tuple(config.upsample_m * n for n in entry.aperture_size)
+    ap = ApertureSpec.for_view("center", ref_q.rows, ref_q.cols, size)
+    crops = [harness.extract_aperture_quantized(q, ap) for q in dists]
+    assert size == (384, 384) and len(crops) == 3
+    return harness.extract_aperture_quantized(ref_q, ap), crops
+
+
+# Traced peak of one scoring job, in 384^2 float64 planes (1.18 MB each),
+# three versions, warm caches. Measured with NumPy 2.4: mse 4.0, ssrm 10.0,
+# ssim 16.7, uqi 13.0, gmsd 7.0, fsim 15.1, nlpd 8.7, vifp 13.3, complex
+# crops 12.3; each bound adds 1.5 planes for other NumPy and Python versions.
+# A view's two plane jobs run at once in the same family, so a run's peak is
+# about twice the heaviest family's.
+JOB_PEAK_PLANES = {"mse": 5.5, "ssrm": 11.5, "ssim": 18.2, "uqi": 14.5, "gmsd": 8.5,
+                   "fsim": 16.6, "nlpd": 10.2, "vifp": 14.8, "complex": 13.8}
+
+
+def _traced_peak(job, *args) -> int:
+    """Bytes ``job(*args)`` allocates at its traced peak, once a first call
+    has filled the module-level caches (window spectra, log-Gabor factors,
+    FFT plans)."""
+    job(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        job(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("family", metrics.FAMILIES, ids=lambda family: family[0])
+def test_plane_job_peak(qa2_view, family):
+    """One family's real-plane job stays within its bound."""
+    ref_crop, crops = qa2_view
+    peak = _traced_peak(harness._score_planes, family, ref_crop.real_plane,
+                        [c.real_plane for c in crops])
+    planes = peak / (ref_crop.real_plane.size * 8)
+    assert planes <= JOB_PEAK_PLANES[family[0]], planes
+
+
+def test_complex_job_peak(qa2_view):
+    """The complex-crop job stays within its bound."""
+    ref_crop, crops = qa2_view
+    peak = _traced_peak(harness._score_complex, metrics.COMPLEX_METRICS, ref_crop, crops)
+    planes = peak / (ref_crop.real_plane.size * 8)
+    assert planes <= JOB_PEAK_PLANES["complex"], planes
+
 
 def test_traced_attributes_resolve():
     """Every attribute the benchmark's span tracer wraps exists after import."""
