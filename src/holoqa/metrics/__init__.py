@@ -11,16 +11,17 @@ Scratch: ``evaluate_real`` and ``evaluate_complex`` take two optional
 dicts. The pair ``scratch`` lets the metrics of one (ref, dist) pair share
 intermediates: ssrm/ssrmt (and _C) one FFT-magnitude and rank pass per
 image, ssim/iwssim/msssim the distorted image's dyadic scales with their
-luminance and contrast-structure maps. Make a new one per pair; it holds
-one intermediate at a time. The
+contrast-structure maps and the luminance maps SSIM and MS-SSIM read
+(scale 0 and the coarsest). Make a new one per pair; it holds one
+intermediate at a time. The
 ``ref_scratch`` belongs to one reference plane, view or complex crop and
 lives across the distorted versions scored against it. It holds only
 reference-only intermediates, one per key and never evicted:
 
 * ssrm/ssrmt (and _C): FFT magnitudes and mid-ranks ("spectrum");
 * ssim/iwssim/msssim: the dyadic scales and their local (mean, variance)
-  ("scales", grown to the most scales asked for), iwssim's detail bands and
-  their 3x3 (mean, variance) ("bands");
+  ("scales", grown to the most scales asked for); iwssim forms each detail
+  band, the reference's too, at its own scale and keeps none;
 * uqi: the 8x8 block (mean, variance) ("blocks");
 * gmsd: the Prewitt gradient magnitude ("prewitt");
 * fsim: phase congruency ("pc") and the Scharr gradient magnitude ("scharr");

@@ -63,17 +63,29 @@ _PC_EPS = 1e-4
 _BANK_LOCK = threading.Lock()
 
 
+def _quadrant_blocks(n: int, q: int):
+    """(axis slice, quadrant slice) pairs that tile an axis of ``n`` FFT
+    frequencies from its first ``q = n // 2 + 1``: ``fftfreq`` is
+    sign-symmetric, so entry k >= q has the magnitude of entry n - k."""
+    return (slice(0, q), slice(None)), (slice(q, None), slice(n - q, 0, -1))
+
+
 @functools.lru_cache(maxsize=2)
 def _log_gabor_factors(rows: int, cols: int):
     """Read-only angular spreads (per orientation) and radial profiles (per
-    scale) of the log-Gabor bank; filter (o, s) is ``radials[s] * spreads[o]``.
-    Caching these, not the 16 filters, halves the memory held per shape."""
+    scale) of the log-Gabor bank; filter (o, s) is ``radials[s] * spreads[o]``
+    (``_filtered_spectrum``). A radial profile depends on |frequency| only,
+    so just its quadrant ``[:rows // 2 + 1, :cols // 2 + 1]`` is kept: the
+    bank holds about 5 planes, not the 8 of full profiles or the 16 of whole
+    filters."""
     fy = np.fft.fftfreq(rows)[:, None]
     fx = np.fft.fftfreq(cols)[None, :]
-    radius = np.sqrt(fx * fx + fy * fy)
+    qy, qx = fy[: rows // 2 + 1], fx[:, : cols // 2 + 1]
+    radius = np.sqrt(qx * qx + qy * qy)
     radius[0, 0] = 1.0  # avoid log(0); the DC entry is zeroed below
     theta = np.arctan2(-fy, fx)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
+    del theta
 
     sigma_theta = np.pi / _PC_ORIENTS / _PC_DTHETA_ON_SIGMA
     log_sigma = np.log(_PC_SIGMA_ONF)
@@ -83,8 +95,14 @@ def _log_gabor_factors(rows: int, cols: int):
         angle = o * np.pi / _PC_ORIENTS
         ds = sin_t * np.cos(angle) - cos_t * np.sin(angle)
         dc = cos_t * np.cos(angle) + sin_t * np.sin(angle)
-        dtheta = np.abs(np.arctan2(ds, dc))
-        spreads.append(np.exp(-(dtheta * dtheta) / (2.0 * sigma_theta * sigma_theta)))
+        # exp(-(dtheta^2) / (2 sigma^2)) with dtheta = |arctan2(ds, dc)|,
+        # each step written into ds
+        spread = np.abs(np.arctan2(ds, dc, out=ds), out=ds)
+        del dc
+        spread *= spread
+        np.negative(spread, out=spread)
+        spread /= 2.0 * sigma_theta * sigma_theta
+        spreads.append(np.exp(spread, out=spread))
     radials = []
     for s in range(_PC_SCALES):
         f0 = 1.0 / (_PC_MIN_WAVELENGTH * _PC_MULT ** s)
@@ -96,24 +114,48 @@ def _log_gabor_factors(rows: int, cols: int):
     return tuple(spreads), tuple(radials)
 
 
+def _filtered_spectrum(spectrum: np.ndarray, radial: np.ndarray,
+                       spread: np.ndarray) -> np.ndarray:
+    """``spectrum * (radial * spread)`` as a new array, ``radial`` being
+    mirrored out of its quadrant: the filter is formed block by block in the
+    real part of a zeroed complex array, which the spectrum then multiplies
+    in place."""
+    out = np.zeros(spectrum.shape, dtype=np.complex128)
+    filt = out.real
+    for rows, q_rows in _quadrant_blocks(spectrum.shape[0], radial.shape[0]):
+        for cols, q_cols in _quadrant_blocks(spectrum.shape[1], radial.shape[1]):
+            np.multiply(radial[q_rows, q_cols], spread[rows, cols], out=filt[rows, cols])
+    return np.multiply(spectrum, out, out=out)
+
+
+# row blocks in which a response's magnitude is summed, so the magnitude
+# is never held for a whole plane
+_PC_ABS_BLOCKS = 4
+
+
 def phase_congruency(img: np.ndarray) -> np.ndarray:
     """Phase-congruency map in [0, 1] from a 4-scale, 4-orientation log-Gabor
     bank: per orientation, the magnitude of the summed complex responses over
     the summed response magnitudes, accumulated over orientations. The
     responses are summed as complex numbers (component-wise, so the real and
-    imaginary sums are those of separate real sums)."""
+    imaginary sums are those of separate real sums); each response is
+    dropped before the next is formed."""
     img = np.asarray(img, dtype=np.float64)
     spectrum = sp_fft.fft2(img)
     energy = np.zeros(img.shape)
     amp_sum = np.zeros(img.shape)
+    step = -(-img.shape[0] // _PC_ABS_BLOCKS)
     with _BANK_LOCK:
         spreads, radials = _log_gabor_factors(*img.shape)
     for spread in spreads:
         total = np.zeros(img.shape, dtype=np.complex128)
         for radial in radials:
-            resp = sp_fft.ifft2(spectrum * (radial * spread), overwrite_x=True)
+            resp = sp_fft.ifft2(_filtered_spectrum(spectrum, radial, spread),
+                                overwrite_x=True)
             total += resp
-            amp_sum += np.abs(resp)
+            for r in range(0, img.shape[0], step):
+                amp_sum[r:r + step] += np.abs(resp[r:r + step])
+            del resp
         energy += np.sqrt(total.real * total.real + total.imag * total.imag)
     return energy / (amp_sum + _PC_EPS)
 

@@ -109,11 +109,14 @@ def _local_stats(ref, dist, filt, ref_stats=None):
     return mu_r, mu_d, var_r, var_d, cov
 
 
-def _lcs_maps(ref, dist, taps, ref_stats):
-    """Luminance map and combined contrast-structure map (C3 = C2/2 form)."""
+def _lcs_maps(ref, dist, taps, ref_stats, with_lum: bool):
+    """Luminance map (None unless ``with_lum``) and combined
+    contrast-structure map (C3 = C2/2 form)."""
     mu_r, mu_d, var_r, var_d, cov = _local_stats(
         ref, dist, lambda x: separable_filter(x, taps), ref_stats)
-    lum = (2.0 * mu_r * mu_d + _C1) / (mu_r * mu_r + mu_d * mu_d + _C1)
+    lum = None
+    if with_lum:
+        lum = (2.0 * mu_r * mu_d + _C1) / (mu_r * mu_r + mu_d * mu_d + _C1)
     cs = (2.0 * cov + _C2) / (var_r + var_d + _C2)
     return lum, cs
 
@@ -131,7 +134,9 @@ def _scales(ref, dist, n: int, scratch: dict | None, ref_scratch: dict | None):
     finest first. The reference's scales and their (mean, variance) are kept
     in ``ref_scratch`` ("scales") and the pair's scales and maps in
     ``scratch`` ("lcs"), so SSIM, MS-SSIM and IW-SSIM compute each scale
-    once; each list grows to the most scales a metric asked for."""
+    once; each list grows to the most scales a metric asked for. ``lum_j``
+    is None but at scale 0 (SSIM's) and at MS-SSIM's coarsest, the only
+    luminance maps a metric reads."""
     side = _WIN * 2 ** (n - 1)
     if min(ref.shape) < side:
         raise InputTooSmall(f"input {ref.shape} too small: {n} scale(s) of a "
@@ -144,7 +149,8 @@ def _scales(ref, dist, n: int, scratch: dict | None, ref_scratch: dict | None):
         refs.append((ref_j, _ref_stats(ref_j, lambda x: separable_filter(x, taps))))
     for j in range(len(pair), n):
         dist_j = _downsample2(pair[-1][0]) if pair else dist
-        pair.append((dist_j, *_lcs_maps(refs[j][0], dist_j, taps, refs[j][1])))
+        pair.append((dist_j, *_lcs_maps(refs[j][0], dist_j, taps, refs[j][1],
+                                        j in (0, len(_MSSSIM_WEIGHTS) - 1))))
     return [(ref_j, *maps) for (ref_j, _), maps in zip(refs, pair[:n])]
 
 
@@ -191,18 +197,18 @@ def _iw_filter(img: np.ndarray) -> np.ndarray:
     return separable_filter(img, _IW_TAPS)
 
 
-def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray, ref_stats) -> np.ndarray:
+def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray) -> np.ndarray:
     """Information-content weight from a scalar Gaussian-scale-mixture local
     model (3x3 windows, no parent band): the information the reference band
     carries plus the information surviving the gain/additive-noise channel to
     the distorted band. Non-negative and finite by construction.
 
     It is log2(1 + var_r/c) + log2(1 + gain^2 var_r/(vv + c)) with var_r
-    and var_d clipped at 0, each step written into a map this call owns
-    (never into ``ref_stats``): gain reads the unclipped var_r, as
-    max(max(v, 0), tiny) is max(v, tiny) and max(v, 0) > 0 is v > 0, and
-    the clipped var_r takes the spent covariance's map."""
-    var_r, var_d, cov = _local_stats(band_r, band_d, _iw_filter, ref_stats)[2:]
+    and var_d clipped at 0, each step written into a map this call owns:
+    gain reads the unclipped var_r, as max(max(v, 0), tiny) is max(v, tiny)
+    and max(v, 0) > 0 is v > 0, and the clipped var_r takes the spent
+    covariance's map."""
+    var_r, var_d, cov = _local_stats(band_r, band_d, _iw_filter)[2:]
     np.maximum(var_d, 0.0, out=var_d)
     gain = np.maximum(var_r, np.finfo(float).tiny)
     np.divide(cov, gain, out=gain)
@@ -224,6 +230,27 @@ def _info_weight_map(band_r: np.ndarray, band_d: np.ndarray, ref_stats) -> np.nd
     return info_r
 
 
+# rows of a weight map formed at once, so a band's 3x3 statistics are never
+# held for the whole band
+_IW_STRIP = 32
+
+
+def _info_weights(band_r: np.ndarray, band_d: np.ndarray) -> np.ndarray:
+    """``_info_weight_map(band_r, band_d)`` cut to the region of the
+    11x11-valid quality map, formed ``_IW_STRIP`` rows at a time. A strip
+    reads only the band samples its 3x3 windows cover, so its values are
+    those of the whole map; the strips fill a whole 3x3-valid map, and the
+    cut is a view of it, so sums over it run in the same order."""
+    h, t = _IW_WIN // 2, _IW_TRIM
+    rows, cols = (n - 2 * h for n in band_r.shape)
+    out = np.empty((rows, cols))
+    for r0 in range(t, rows - t, _IW_STRIP):
+        r1 = min(r0 + _IW_STRIP, rows - t)
+        window = (slice(r0, r1 + 2 * h), slice(t, cols - t + 2 * h))
+        out[r0:r1, t:cols - t] = _info_weight_map(band_r[window], band_d[window])
+    return out[t:rows - t, t:cols - t]
+
+
 def _upsample2(img: np.ndarray, shape) -> np.ndarray:
     up = np.zeros(shape)
     sub = up[0::2, 0::2]
@@ -243,31 +270,22 @@ def _detail_band(scales, j: int) -> np.ndarray:
     return np.subtract(img, band, out=band)
 
 
-def _ref_bands(ref_scales) -> list:
-    """(band, ``_ref_stats`` under the 3x3 box) of each reference detail band."""
-    imgs = [ref_j for ref_j, _, _, _ in ref_scales]
-    return [(band, _ref_stats(band, _iw_filter))
-            for band in (_detail_band(imgs, j) for j in range(len(imgs)))]
-
-
 def iw_ssim(ref, dist, scratch: dict | None = None,
             ref_scratch: dict | None = None) -> float:
     """Information-content-weighted multi-scale SSIM over a Laplacian-style
     pyramid. Per-scale contrast/structure maps are pooled with information
     weights derived from the detail bands; the coarsest scale contributes a
-    full (weighted) SSIM term. The reference's bands and their 3x3 statistics
-    are kept in ``ref_scratch`` ("bands"); each distorted band is formed at
-    its own scale."""
+    full (weighted) SSIM term. Each detail band, the reference's too, is
+    formed at its own scale and dropped after it."""
     ref, dist = _check_pair(ref, dist)
     weights = _MSSSIM_WEIGHTS
     scales = _scales(ref, dist, len(weights), scratch, ref_scratch)
-    ref_bands = from_ref_scratch(ref_scratch, "bands", lambda: _ref_bands(scales))
+    refs = [ref_j for ref_j, _, _, _ in scales]
     dists = [dist_j for _, dist_j, _, _ in scales]
     score = 1.0
-    for j, ((_, _, lum, cs), (band_r, stats)) in enumerate(zip(scales, ref_bands)):
+    for j, (_, _, lum, cs) in enumerate(scales):
         qmap = lum * cs if j == len(scales) - 1 else cs
-        wmap = _info_weight_map(band_r, _detail_band(dists, j),
-                                stats)[_IW_TRIM:-_IW_TRIM, _IW_TRIM:-_IW_TRIM]
+        wmap = _info_weights(_detail_band(refs, j), _detail_band(dists, j))
         wsum = wmap.sum()
         factor = float((wmap * qmap).sum() / wsum) if wsum > 0 else float(qmap.mean())
         score *= max(factor, 0.0) ** weights[j]
@@ -288,15 +306,22 @@ def uqi(ref, dist, ref_scratch: dict | None = None) -> float:
     filt = functools.partial(fftconvolve, win=np.full((b, b), 1.0 / (b * b)), mode="valid")
     ref_stats = from_ref_scratch(ref_scratch, "blocks", lambda: _ref_stats(ref, filt))
     mu_r, mu_d, var_r, var_d, cov = _local_stats(ref, dist, filt, ref_stats)
+    # each map below is written into one this call owns, never into ref_stats
     den_l = mu_r * mu_r + mu_d * mu_d
-    den_cs = var_r + var_d
+    den_cs = np.add(var_r, var_d, out=var_d)
     defined = (den_l != 0.0) & (den_cs != 0.0)
-    lum = 2.0 * mu_r * mu_d / np.where(den_l != 0.0, den_l, 1.0)
-    cs = 2.0 * cov / np.where(den_cs != 0.0, den_cs, 1.0)
     # zero variance sum and equal means: identical constant blocks, limit 1
-    identical_const = (den_cs == 0.0) & (mu_r == mu_d)
-    values = np.where(defined, lum * cs, 1.0)
-    keep = defined | identical_const
+    keep = defined | ((den_cs == 0.0) & (mu_r == mu_d))
+    den_l[den_l == 0.0] = 1.0
+    lum = np.multiply(2.0, mu_r)
+    lum *= mu_d
+    lum /= den_l
+    del mu_d, den_l
+    den_cs[den_cs == 0.0] = 1.0
+    cs = np.multiply(2.0, cov, out=cov)
+    cs /= den_cs
+    values = np.multiply(lum, cs, out=lum)
+    values[~defined] = 1.0
     if not np.any(keep):
         raise DegenerateReference("no UQI block has a defined score")
     return float(values[keep].mean())

@@ -46,8 +46,8 @@ def vifp(ref, dist, ref_scratch: dict | None = None) -> float:
             from_ref_scratch(ref_scratch, "vif_scales", lambda: _ref_scales(ref))):
         if scale:
             dist = separable_filter(dist, taps)[::2, ::2]
-        _, _, var_r, var_d, cov = _local_stats(
-            ref_s, dist, lambda x: separable_filter(x, taps), stats)
+        var_r, var_d, cov = _local_stats(
+            ref_s, dist, lambda x: separable_filter(x, taps), stats)[2:]
         var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
         # roundoff-scale variances on flat regions carry no information
         var_r[var_r < _VAR_EPS] = 0.0

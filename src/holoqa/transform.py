@@ -99,13 +99,14 @@ def compute_focus_distance(n_pixels: int, pitch: float, wavelength: float, m: in
     return (m / (m - 1.0)) * n_pixels * pitch * pitch / wavelength
 
 
-def _pad_centered_spectrum(spec: np.ndarray, m: int) -> np.ndarray:
-    rows, cols = spec.shape
-    out = np.zeros((rows * m, cols * m), dtype=spec.dtype)
-    r0 = rows * m // 2 - rows // 2
-    c0 = cols * m // 2 - cols // 2
-    out[r0 : r0 + rows, c0 : c0 + cols] = spec
-    return out
+def _frequency_blocks(n: int, big: int):
+    """(destination, source) slice pairs that place the ``n`` FFT bins of an
+    axis into the bins of an axis of ``big`` >= n at the same signed
+    frequencies: [0, n - n//2) at the start and the n//2 negative ones
+    (Nyquist included) at the end. This is ``ifftshift`` of the centered,
+    zero-padded ``fftshift`` without the shifted copies."""
+    pos = n - n // 2
+    return (slice(0, pos), slice(0, pos)), (slice(big - n // 2, big), slice(pos, n))
 
 
 def _crop_centered_spectrum(spec: np.ndarray, m: int) -> np.ndarray:
@@ -121,9 +122,15 @@ def upsample_grid(data: np.ndarray, m: int) -> np.ndarray:
 
     Original samples are reproduced exactly at stride-m grid positions.
     """
-    spec = np.fft.fftshift(sp_fft.fft2(data))
-    padded = _pad_centered_spectrum(spec, m)
-    return sp_fft.ifft2(np.fft.ifftshift(padded), overwrite_x=True) * (m * m)
+    spec = sp_fft.fft2(data)
+    rows, cols = spec.shape
+    padded = np.zeros((rows * m, cols * m), dtype=spec.dtype)
+    for r_dst, r_src in _frequency_blocks(rows, rows * m):
+        for c_dst, c_src in _frequency_blocks(cols, cols * m):
+            padded[r_dst, c_dst] = spec[r_src, c_src]
+    out = sp_fft.ifft2(padded, overwrite_x=True)
+    out *= m * m
+    return out
 
 
 def downsample_grid(data: np.ndarray, m: int) -> np.ndarray:
@@ -142,11 +149,14 @@ def _grid_coordinates(rows: int, cols: int, pitch: float):
 def parabolic_kernel(rows: int, cols: int, pitch: float, wavelength: float, z: float) -> np.ndarray:
     """Unit-modulus demodulation kernel K(z) = exp(i*pi*(x^2+y^2)/(lambda*z))."""
     y, x = _grid_coordinates(rows, cols, pitch)
-    return np.exp(1j * np.pi * (x * x + y * y) / (wavelength * z))
+    arg = 1j * np.pi * (x * x + y * y)
+    arg /= wavelength * z
+    return np.exp(arg, out=arg)
 
 
 def fourier_to_fresnel(f: WaveField, m: int = 2) -> tuple[WaveField, ConversionPlan]:
-    """Convert a Fourier hologram to Fresnel form: K(z) * US(H)."""
+    """Convert a Fourier hologram to Fresnel form: K(z) * US(H), the kernel
+    multiplied into the upsampled field in place."""
     m = _check_factor(m)
     if f.form is not HologramForm.FOURIER:
         raise FormMismatch("fourier_to_fresnel requires a Fourier-form hologram")
@@ -156,7 +166,8 @@ def fourier_to_fresnel(f: WaveField, m: int = 2) -> tuple[WaveField, ConversionP
     z = compute_focus_distance(max(rows, cols), pitch, f.wavelength, m)
     kernel = parabolic_kernel(rows, cols, pitch, f.wavelength, z)
     plan = ConversionPlan(m, z, f.rows, f.cols, rows, cols, pitch, f.wavelength)
-    return WaveField(kernel * up, pitch, f.wavelength, HologramForm.FRESNEL), plan
+    np.multiply(kernel, up, out=up)
+    return WaveField(up, pitch, f.wavelength, HologramForm.FRESNEL), plan
 
 
 def fresnel_to_fourier(f: WaveField, plan: ConversionPlan) -> WaveField:

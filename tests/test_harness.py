@@ -42,7 +42,7 @@ from holoqa.harness import (
     run_track,
     score_components_avg,
 )
-from holoqa.metrics import REAL_METRICS, evaluate_real
+from holoqa.metrics import REAL_METRICS, evaluate_real, gradient
 from holoqa.stats import Display, MosRecord, read_mos_csv, evaluate_metric
 from holoqa.synth import generate_demo_dataset
 from holoqa.transform import load_gray_pgm
@@ -294,10 +294,11 @@ class TestViewPool:
     def test_earliest_job_error_wins(self, dots_dataset, monkeypatch):
         manifest, mos = dots_dataset
         later_raised = threading.Event()
+        waited = []
 
         def fail(k, on_worker):
             if on_worker and k == 0:
-                later_raised.wait(5)    # job #2 raises first
+                waited.append(later_raised.wait(5))     # job #2 raises first
                 raise DegenerateAmplitude("job #1")
             if on_worker and k == 1:
                 later_raised.set()
@@ -305,22 +306,25 @@ class TestViewPool:
         _watched_renders(monkeypatch, manifest, fail)
         with pytest.raises(DegenerateAmplitude, match="job #1"):
             run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
+        assert waited and all(waited)
         assert _view_pool_threads() == []
 
     def test_earlier_job_error_wins_over_reference_error(self, dots_dataset, monkeypatch):
         manifest, mos = dots_dataset
         ref_failed = threading.Event()
+        waited = []
 
         def fail(k, on_worker):
             if not on_worker and k == 1:
                 ref_failed.set()
                 raise CorruptInput("reference #2")
             if on_worker and k == 0:
-                ref_failed.wait(5)      # the reference of #2 fails first
+                waited.append(ref_failed.wait(5))   # the reference of #2 fails first
                 raise DegenerateAmplitude("job #1")
         _watched_renders(monkeypatch, manifest, fail)
         with pytest.raises(DegenerateAmplitude, match="job #1"):
             run_track(manifest, mos, TrackConfig("qa4", metrics=("mse",)))
+        assert waited and all(waited)
         assert _view_pool_threads() == []
 
     def test_reference_error_raised_after_earlier_jobs_end(self, dots_dataset, monkeypatch):
@@ -435,10 +439,14 @@ class TestJobStream:
             self, two_stimuli, monkeypatch):
         manifest, mos = two_stimuli
         later_raised = threading.Event()
+        first = threading.Lock()
+        waited = []
 
         def fail(i, on_worker):
-            if on_worker and i == 0:
-                later_raised.wait(5)    # a job of stimulus #2 raises first
+            if on_worker and i == 0 and first.acquire(blocking=False):
+                # the other worker runs stimulus #1's other jobs, then a job of
+                # stimulus #2, which is submitted ahead and raises first
+                waited.append(later_raised.wait(5))
                 raise DegenerateAmplitude("job of stimulus #1")
             if on_worker and i == 1:
                 later_raised.set()
@@ -446,6 +454,7 @@ class TestJobStream:
         _watched_stimulus_renders(monkeypatch, manifest, fail)
         with pytest.raises(DegenerateAmplitude, match="stimulus #1"):
             run_track(manifest, mos, TrackConfig("qa3", metrics=("mse",)))
+        assert waited == [True]
         assert _view_pool_threads() == []
 
     def test_later_reference_error_raised_after_earlier_jobs_end(
@@ -508,10 +517,11 @@ class TestJobStream:
         config = TrackConfig(track, metrics=("mse", "ssim"))
         later_raised = threading.Event()
         first = threading.Lock()
+        waited = []
 
         def score_hook(i):
             if i == 0 and first.acquire(blocking=False):
-                later_raised.wait(5)    # a job of stimulus #2 raises first
+                waited.append(later_raised.wait(5))     # a job of stimulus #2 raises first
                 raise DegenerateReference("job of stimulus #1")
             if i == 1:
                 later_raised.set()
@@ -519,7 +529,7 @@ class TestJobStream:
         _watched_field_stream(monkeypatch, manifest, config, lambda i, w: None, score_hook)
         with pytest.raises(DegenerateReference, match="stimulus #1"):
             run_track(manifest, mos, config)
-        assert later_raised.is_set()
+        assert waited == [True]
         assert _view_pool_threads() == []
 
     @pytest.mark.parametrize("track", ["qa1", "qa2"])
@@ -650,8 +660,8 @@ class TestComponentAveraging:
                     got = score_components_avg(mid, ref_q, dist_q, planes, planes_ref,
                                                pool)
                     assert got == want, mid
-        ref_keys = {"spectrum", "scales", "bands", "blocks", "prewitt", "pc", "scharr",
-                    "pyramid", "vif_scales"}
+        ref_keys = {"spectrum", "scales", "blocks", "prewitt", "pc", "scharr", "pyramid",
+                    "vif_scales"}
         assert [set(r) for r in planes_ref] == [ref_keys, ref_keys]
 
     @pytest.mark.parametrize("failing, raised", [
@@ -749,7 +759,7 @@ class TestFamilyMajor:
             family[0] for family in metrics.FAMILIES
             for _ in range(n_versions) for _ in family]
         assert all(held <= {family} for family, held in calls)
-        assert len(owner) == 9      # every key, each held by its family only
+        assert len(owner) == 8      # every key, each held by its family only
 
     def test_scores_equal_scratch_free_and_scratch_holds_one_family(
             self, demo_dataset, monkeypatch):
@@ -834,12 +844,19 @@ def qa2_view(demo_dataset):
 
 # Traced peak of one scoring job, in 384^2 float64 planes (1.18 MB each),
 # three versions, warm caches. Measured with NumPy 2.4: mse 4.0, ssrm 10.0,
-# ssim 16.7, uqi 13.0, gmsd 7.0, fsim 15.1, nlpd 8.7, vifp 13.3, complex
-# crops 12.3; each bound adds 1.5 planes for other NumPy and Python versions.
-# A view's two plane jobs run at once in the same family, so a run's peak is
-# about twice the heaviest family's.
-JOB_PEAK_PLANES = {"mse": 5.5, "ssrm": 11.5, "ssim": 18.2, "uqi": 14.5, "gmsd": 8.5,
-                   "fsim": 16.6, "nlpd": 10.2, "vifp": 14.8, "complex": 13.8}
+# ssim 11.37, uqi 9.04, gmsd 7.0, fsim 12.25, nlpd 8.68, vifp 12.36, complex
+# crops 12.25; each bound adds 1 plane for other NumPy and Python versions.
+# A view's two plane jobs run at once in the same family, and each worker
+# thread's malloc arena keeps its largest transient, so a run's peak follows
+# the heaviest job.
+JOB_PEAK_PLANES = {"mse": 5.0, "ssrm": 11.0, "ssim": 12.4, "uqi": 10.1, "gmsd": 8.0,
+                   "fsim": 13.3, "nlpd": 9.7, "vifp": 13.4, "complex": 13.3}
+# qa2's conversion of one 256^2 field (``_prepared_field``), in the same
+# planes: measured 10.01, bound with 1 plane added
+PREPARED_PEAK_PLANES = 11.1
+# FSIM's log-Gabor bank at 384^2: four spreads and four radial quadrants
+# of 193^2, 5.01 planes
+BANK_PLANES = 5.1
 
 
 def _traced_peak(job, *args) -> int:
@@ -872,6 +889,21 @@ def test_complex_job_peak(qa2_view):
     peak = _traced_peak(harness._score_complex, metrics.COMPLEX_METRICS, ref_crop, crops)
     planes = peak / (ref_crop.real_plane.size * 8)
     assert planes <= JOB_PEAK_PLANES["complex"], planes
+
+
+def test_prepared_field_peak(demo_dataset):
+    """qa2's conversion of one field to Fresnel form stays within its bound."""
+    manifest = load_manifest(demo_dataset["manifest"])
+    entry = manifest.stimuli[0]
+    peak = _traced_peak(harness._prepared_field, TrackConfig("qa2"), manifest, entry)
+    assert peak / (384 * 384 * 8) <= PREPARED_PEAK_PLANES, peak
+
+
+def test_log_gabor_bank_size():
+    """The 384^2 log-Gabor bank keeps only a quadrant of each radial profile."""
+    spreads, radials = gradient._log_gabor_factors(384, 384)
+    planes = sum(a.nbytes for a in spreads + radials) / (384 * 384 * 8)
+    assert planes <= BANK_PLANES, planes
 
 
 def test_traced_attributes_resolve():

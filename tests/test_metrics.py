@@ -225,6 +225,19 @@ class TestSsimFamily:
         v = [iw_ssim(image, n) for n in noisy_versions]
         assert v[0] > v[1] > v[2]
 
+    @pytest.mark.parametrize("shape", [(11, 11), (40, 45), (76, 76), (109, 150)])
+    def test_strip_weights_equal_whole_map(self, shape):
+        """IW-SSIM's weight map formed in row strips equals the whole map cut to
+        the quality map's region, bit for bit, and sums the same."""
+        rng = np.random.default_rng(shape[0])
+        band_r = rng.normal(0.0, 20.0, shape)
+        band_d = band_r + rng.normal(0.0, 5.0, shape)
+        t = ssim_module._IW_TRIM
+        want = ssim_module._info_weight_map(band_r, band_d)[t:-t, t:-t]
+        got = ssim_module._info_weights(band_r, band_d)
+        assert np.array_equal(got, want)
+        assert got.sum() == want.sum()
+
     def test_uqi_sensitive_to_gain(self, image):
         # UQI has no stabilizing constants, so a pure contrast gain lowers it
         v = uqi(image, 0.5 * image)
@@ -476,7 +489,7 @@ class TestSharing:
             assert evaluate_complex(mid, fr, fd, scratch=scratch) == want, mid
 
     def test_ref_scratch_values_bit_identical(self, image, noisy_versions):
-        family_keys = {"mse": set(), "ssrm": {"spectrum"}, "ssim": {"scales", "bands"},
+        family_keys = {"mse": set(), "ssrm": {"spectrum"}, "ssim": {"scales"},
                        "uqi": {"blocks"}, "gmsd": {"prewitt"}, "fsim": {"pc", "scharr"},
                        "nlpd": {"pyramid"}, "vifp": {"vif_scales"}}
 
@@ -547,6 +560,31 @@ class TestSharing:
         assert len(maps) == 4
         assert all(np.array_equal(m, _uncached_phase_congruency(image)) for m in maps)
         assert gradient._log_gabor_factors.cache_info().misses == 1
+
+    @pytest.mark.parametrize("shape", [(33, 33), (64, 100), (101, 130), (2, 7), (384, 384)])
+    def test_quadrant_radials_mirror_to_full_profiles(self, shape):
+        """Each cached radial profile is its quadrant [:rows//2+1, :cols//2+1];
+        mirrored (entry k > n//2 from entry n - k) it equals the profile
+        evaluated on the full ``fftfreq`` grid, bit for bit, and so does every
+        filtered spectrum formed from it."""
+        rows, cols = shape
+        fy = np.fft.fftfreq(rows)[:, None]
+        fx = np.fft.fftfreq(cols)[None, :]
+        radius = np.sqrt(fx * fx + fy * fy)
+        radius[0, 0] = 1.0
+        log_sigma = np.log(0.55)
+        mirror = np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in shape))
+        spreads, radials = gradient._log_gabor_factors(rows, cols)
+        spectrum = sp_fft.fft2(np.random.default_rng(rows * cols).random(shape))
+        for s, quadrant in enumerate(radials):
+            assert quadrant.shape == (rows // 2 + 1, cols // 2 + 1)
+            f0 = 1.0 / (6.0 * 2.0 ** s)
+            full = np.exp(-(np.log(radius / f0) ** 2) / (2.0 * log_sigma * log_sigma))
+            full[0, 0] = 0.0
+            assert np.array_equal(quadrant[mirror], full), s
+            for spread in spreads:
+                assert np.array_equal(gradient._filtered_spectrum(spectrum, quadrant, spread),
+                                      spectrum * (full * spread)), s
 
     def test_cached_factors_are_read_only(self):
         spreads, radials = gradient._log_gabor_factors(32, 48)
