@@ -48,7 +48,7 @@ class WaveField:
         arr = np.ascontiguousarray(self.data, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidField(f"expected non-empty 2D grid, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
+        if not np.isfinite(arr).all():
             raise InvalidField("field contains non-finite samples")
         if self.pixel_pitch <= 0:
             raise InvalidField(f"pixel_pitch must be > 0, got {self.pixel_pitch}")
@@ -171,10 +171,15 @@ def quantize_components(f: WaveField) -> QuantizedField:
 
 
 def dequantize_components(q: QuantizedField) -> WaveField:
-    """Map codes back to field values: v = offset + scale * code."""
-    re = q.real_affine.offset + q.real_affine.scale * q.real_plane.astype(np.float64)
-    im = q.imag_affine.offset + q.imag_affine.scale * q.imag_plane.astype(np.float64)
-    return WaveField(re + 1j * im, q.pixel_pitch, q.wavelength, q.form)
+    """Map codes back to field values: v = offset + scale * code, each part
+    written straight into the complex field (bit for bit ``re + 1j * im``,
+    as a scale > 0 never makes a part -0.0)."""
+    data = np.empty(q.real_plane.shape, dtype=np.complex128)
+    for part, codes, aff in ((data.real, q.real_plane, q.real_affine),
+                             (data.imag, q.imag_plane, q.imag_affine)):
+        np.multiply(aff.scale, codes, out=part)
+        np.add(aff.offset, part, out=part)
+    return WaveField(data, q.pixel_pitch, q.wavelength, q.form)
 
 
 def extract_aperture_quantized(q: QuantizedField, ap: ApertureSpec) -> QuantizedField:

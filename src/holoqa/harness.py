@@ -34,7 +34,9 @@ No error leaves ``run_track`` before every submitted job has ended, and the
 error of the earliest (stimulus, view, focal) wins, from a preparation or a
 job. Within one (view, focal), errors are raised in job order (qa1/qa2: real
 planes, imaginary planes, complex crops) and, inside a job, in family and
-then version order. The logistic fits of every (display, metric) then run on the same pool.
+then version order. The criteria then run on the same pool, one job per
+(metric, distinct matched score vector) that takes the logistic fits of
+every display matched on it together.
 
 Evaluation samples are one score per (stimulus, view) for qa1/qa2 and one per
 (stimulus, view, focal plane) for qa3/qa4; MOS records are matched at the
@@ -60,6 +62,7 @@ from .field import (
     VIEWS,
     ApertureSpec,
     QuantizedField,
+    WaveField,
     _check_keys,
     _of_type,
     dequantize_components,
@@ -83,7 +86,9 @@ from .stats import (
     CriteriaRow,
     Display,
     MosRecord,
+    _definite_scores,
     evaluate_metric,
+    fit_logistic4_sets,
     rank_aggregate,
     significance_matrix,
 )
@@ -348,14 +353,19 @@ def _score_versions(config: TrackConfig, dists, ap, offset, wp, bound, ref_codes
     """One qa3/qa4 job: (tag, scores) of every quantized distorted version at
     one (view, focal), each dequantized, rendered, despeckled with ``wp``
     (qa4) and quantized with the reference's ``bound``, then scored against
-    the reference's 8-bit ``ref_codes`` (``_score_planes``)."""
-    views = []
-    for _, dist_q in dists:
-        dist_amp = reconstruct_view(dequantize_components(dist_q), ap, offset)
-        if config.track == "qa4":
-            dist_amp = wiener_denoise(dist_amp, wp)
-        views.append(clip_and_quantize_view(dist_amp, bound))
+    the reference's 8-bit ``ref_codes`` (``_score_planes``). Only the 8-bit
+    views outlive their version's rendering."""
+    views = [_version_codes(config, dist_q, ap, offset, wp, bound) for _, dist_q in dists]
     return list(zip((tag for tag, _ in dists), _score_planes(metric_ids, ref_codes, views)))
+
+
+def _version_codes(config: TrackConfig, dist_q: QuantizedField, ap, offset, wp,
+                   bound) -> np.ndarray:
+    """The 8-bit view of one quantized distorted version in a qa3/qa4 job."""
+    amp = reconstruct_view(dequantize_components(dist_q), ap, offset)
+    if config.track == "qa4":
+        amp = wiener_denoise(amp, wp)
+    return clip_and_quantize_view(amp, bound)
 
 
 def _submit_views(config: TrackConfig, manifest: DatasetManifest, entry: StimulusEntry,
@@ -371,15 +381,22 @@ def _submit_views(config: TrackConfig, manifest: DatasetManifest, entry: Stimulu
     for view in manifest.views:
         ap = ApertureSpec.for_view(view, ref.rows, ref.cols, entry.aperture_size)
         for offset in entry.focal_offsets:
-            ref_amp = reconstruct_view(ref, ap, offset)
-            wp = None
-            if config.track == "qa4":
-                wp = resolve_params(ref_amp, config.wiener)
-                ref_amp = wiener_denoise(ref_amp, wp)
-            bound = view_clip_bound(ref_amp, config.clip_percentile)
-            jobs.append(pool.submit(
-                _score_versions, config, dists, ap, offset, wp, bound,
-                clip_and_quantize_view(ref_amp, bound), metric_ids))
+            wp, bound, ref_codes = _reference_view(config, ref, ap, offset)
+            jobs.append(pool.submit(_score_versions, config, dists, ap, offset, wp, bound,
+                                    ref_codes, metric_ids))
+
+
+def _reference_view(config: TrackConfig, ref: WaveField, ap, offset):
+    """(Wiener parameters, clip bound, 8-bit codes) of the reference's view
+    at (``ap``, ``offset``): rendered, despeckled with the parameters it
+    resolves (qa4, else None) and quantized against its own clip bound."""
+    amp = reconstruct_view(ref, ap, offset)
+    wp = None
+    if config.track == "qa4":
+        wp = resolve_params(amp, config.wiener)
+        amp = wiener_denoise(amp, wp)
+    bound = view_clip_bound(amp, config.clip_percentile)
+    return wp, bound, clip_and_quantize_view(amp, bound)
 
 
 def _view_samples(manifest: DatasetManifest, entry: StimulusEntry, jobs: list) -> list:
@@ -416,6 +433,27 @@ def _job_stream(config: TrackConfig, manifest: DatasetManifest, metric_ids, pool
         yield ahead[0], read(manifest, *ahead)
 
 
+def _evaluate_displays(metric_id: str, scores, record_sets) -> list:
+    """One fit job: ``evaluate_metric`` of one metric's matched ``scores``
+    against each display's MOS records of ``record_sets``, their logistic
+    fits taken together first (``fit_logistic4_sets``), so the fit grid is
+    projected once. Per display its MetricEvaluation, or the DegenerateRanks
+    it raised; if the fits raise, each display raises its own error in
+    ``evaluate_metric``."""
+    try:
+        fits = fit_logistic4_sets(_definite_scores(scores),
+                                  [[r.mos for r in records] for records in record_sets])
+    except DegenerateRanks:
+        fits = [None] * len(record_sets)
+    out = []
+    for records, fit in zip(record_sets, fits):
+        try:
+            out.append(evaluate_metric(metric_id, scores, records, fit))
+        except DegenerateRanks as exc:
+            out.append(exc)
+    return out
+
+
 def _mos_lookup(mos_records):
     by_key = {}
     for r in mos_records:
@@ -442,9 +480,11 @@ def _matched_mos(by_key, stimulus_id, display, view, focal_index):
 def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> EvalReport:
     """Score every stimulus pair of the manifest, match MOS per display and
     evaluate every metric on all six criteria. Raises CorruptInput on a MOS
-    value outside the manifest's rating scale. The logistic fits of every
-    (display, metric) run on the run's pool too, submitted metric-major and
-    read in (display, metric) order."""
+    value outside the manifest's rating scale. The criteria run on the run's
+    pool too: one job per (metric, distinct matched score vector), which
+    fits that vector against the MOS of every display it was matched on
+    (``_evaluate_displays``), submitted metric-major and read in (display,
+    metric) order."""
     metric_ids = config.resolved_metrics()
     lo, hi = manifest.rating_scale
     for r in mos_records:
@@ -479,22 +519,29 @@ def run_track(manifest: DatasetManifest, mos_records, config: TrackConfig) -> Ev
                 matched[display] = pairs
         if not matched:
             raise NoOverlap("no manifest stimulus has a matching MOS record")
-        fits = {(display, mid): pool.submit(evaluate_metric, mid,
-                                            [s[mid] for s, _ in pairs],
-                                            [r for _, r in pairs])
-                for mid in metric_ids for display, pairs in matched.items()}
+        fits = {}       # (display, metric) -> (fit job, index of its display)
+        for mid in metric_ids:
+            groups = {}     # displays by their matched score vector
+            for display, pairs in matched.items():
+                scores = [s[mid] for s, _ in pairs]
+                groups.setdefault(np.array(scores).tobytes(), (scores, []))[1].append(display)
+            for scores, displays in groups.values():
+                job = pool.submit(_evaluate_displays, mid, scores,
+                                  [[r for _, r in matched[d]] for d in displays])
+                fits.update({(d, mid): (job, k) for k, d in enumerate(displays)})
         for display in matched:
             rows = []
             residual_sets = {}
             for mid in metric_ids:
-                try:
-                    ev = fits[display, mid].result()
+                job, k = fits[display, mid]
+                ev = job.result()[k]
+                if isinstance(ev, DegenerateRanks):
+                    log.warning("metric %s degenerate on display %s: %s",
+                                mid, display.value, ev)
+                    rows.append(CriteriaRow(mid, *[float("nan")] * 6))
+                else:
                     rows.append(ev.row)
                     residual_sets[mid] = ev.abs_residuals
-                except DegenerateRanks as exc:
-                    log.warning("metric %s degenerate on display %s: %s",
-                                mid, display.value, exc)
-                    rows.append(CriteriaRow(mid, *[float("nan")] * 6))
             criteria[display] = rows
             if residual_sets:
                 significance[display] = significance_matrix(residual_sets)

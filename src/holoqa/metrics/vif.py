@@ -37,7 +37,10 @@ def _ref_scales(ref: np.ndarray) -> list:
 
 def vifp(ref, dist, ref_scratch: dict | None = None) -> float:
     """VIFp over the reference's scales; those scales and their local
-    statistics are kept in ``ref_scratch`` ("vif_scales")."""
+    statistics are kept in ``ref_scratch`` ("vif_scales"). Each scale's
+    chain is written into maps this call owns: a copy of the reference
+    variance (the scratch's stays as it is), the distorted variance and
+    the covariance; each sum runs over a whole contiguous map."""
     ref, dist = _check_pair(ref, dist)
     num = 0.0
     den = 0.0
@@ -48,17 +51,32 @@ def vifp(ref, dist, ref_scratch: dict | None = None) -> float:
             dist = separable_filter(dist, taps)[::2, ::2]
         var_r, var_d, cov = _local_stats(
             ref_s, dist, lambda x: separable_filter(x, taps), stats)[2:]
-        var_r, var_d = np.maximum(var_r, 0.0), np.maximum(var_d, 0.0)
+        var_r = np.maximum(var_r, 0.0)
+        np.maximum(var_d, 0.0, out=var_d)
         # roundoff-scale variances on flat regions carry no information
         var_r[var_r < _VAR_EPS] = 0.0
         var_d[var_d < _VAR_EPS] = 0.0
 
-        gain = np.where(var_r > 0, cov / np.maximum(var_r, tiny), 0.0)
-        gain = np.maximum(gain, 0.0)
-        noise = np.maximum(var_d - gain * cov, 0.0)
+        # gain = max(cov / max(var_r, tiny), 0) where var_r > 0, else 0
+        gain = np.maximum(var_r, tiny)
+        np.divide(cov, gain, out=gain)
+        gain[~(var_r > 0)] = 0.0
+        np.maximum(gain, 0.0, out=gain)
+        # noise = max(var_d - gain * cov, 0)
+        noise = var_d
+        noise -= np.multiply(gain, cov, out=cov)
+        np.maximum(noise, 0.0, out=noise)
+        del cov
 
-        num += float(np.sum(np.log10(1.0 + gain * gain * var_r / (noise + _SIGMA_NSQ))))
-        den += float(np.sum(np.log10(1.0 + var_r / _SIGMA_NSQ)))
+        info = np.multiply(gain, gain, out=gain)
+        info *= var_r
+        noise += _SIGMA_NSQ
+        info /= noise
+        del noise, var_d
+        num += float(np.sum(np.log10(np.add(1.0, info, out=info), out=info)))
+        del info
+        info_r = np.divide(var_r, _SIGMA_NSQ, out=var_r)
+        den += float(np.sum(np.log10(np.add(1.0, info_r, out=info_r), out=info_r)))
     if den == 0.0:
         raise DegenerateReference("reference has no information content for VIFp")
     return num / den

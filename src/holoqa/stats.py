@@ -7,7 +7,6 @@ aggregation.
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -194,7 +193,8 @@ TAIL_U = 40.0
 LINE_WIDTH = 3e4
 _GRID_PER_DECADE = 3      # grid rows per decade of |b4|
 _GRID_WIDTH = 10.0        # widest |b4| of the grid, in score spans
-_GRID_BYTES = 1 << 20     # largest temporary of the grid
+_GRID_BYTES = 1 << 20     # projected columns of one grid block (see _grid_rss)
+_PIECE_BYTES = 1 << 17    # largest elementwise temporary of the grid
 _BASINS = 3               # grid minima polished
 _FD = 1e-4                # central-difference step of the polish, in units of u
 # (w, t) offsets of the central differences, in units of _FD
@@ -282,46 +282,46 @@ class _Frame:
     def rss(self, b3, a):
         """Residual sum of squares of the best b1 + (b2 - b1) s at (b3, a)."""
         *_, vc, svv = self.project(b3, a)
-        return self.projected_rss(vc, svv)
-
-    def projected_rss(self, vc, svv):
-        """``rss`` of the projected columns (vc, svv)."""
         r = self.yc - vc * (vc @ self.yc)[..., None] / svv
         return np.sum(r * r, axis=-1)
 
 
-# The projected grid of the last fit's working-frame scores, (xs bytes,
-# [(vc, svv) per block]). It does not depend on the MOS, so a metric's fits
-# on the three displays, which share their scores, project the grid once.
-# One entry, kept only up to _GRID_MEMO_BYTES (about 1.2 MB at 48 samples);
-# the lock is held while a grid is projected.
-_GRID_MEMO_BYTES = 4 << 20
-_GRID_LOCK = threading.Lock()
-_grid_memo = [None]
+def _grid_rss(frame: _Frame, flat_b3, flat_a, ycs) -> np.ndarray:
+    """``frame.rss`` at the grid points (flat_b3, flat_a) against each
+    centred MOS vector of ``ycs``, one row per vector. The points are
+    projected a block of _GRID_BYTES of columns at a time, each block once
+    for every vector. ``vc @ yc`` rounds by the row count of its matrix
+    (OpenBLAS's dgemv), so it runs on whole blocks; the projection and the
+    residuals, whose row means and sums do not depend on it, are formed in
+    pieces of _PIECE_BYTES."""
+    n = frame.xs.size
+    chunk = max(1, _GRID_BYTES // (8 * n))
+    piece = max(1, _PIECE_BYTES // (8 * n))
+    rss = np.empty((len(ycs), flat_b3.size))
+    vc = np.empty((min(chunk, flat_b3.size), n))
+    svv = np.empty((vc.shape[0], 1))
+    for i in range(0, flat_b3.size, chunk):
+        rows = min(chunk, flat_b3.size - i)
+        pieces = [slice(j, min(j + piece, rows)) for j in range(0, rows, piece)]
+        for p in pieces:
+            vc[p], svv[p] = frame.project(flat_b3[i + p.start:i + p.stop],
+                                          flat_a[i + p.start:i + p.stop])[3:]
+        for out, yc in zip(rss, ycs):
+            d = vc[:rows] @ yc
+            for p in pieces:
+                # the residual of frame.rss, each temporary written in place
+                r = vc[p] * d[p, None]
+                r /= svv[p]
+                np.subtract(yc, r, out=r)
+                r *= r
+                out[i + p.start:i + p.stop] = np.sum(r, axis=-1)
+    return rss
 
 
-def _grid_rss(frame: _Frame, flat_b3, flat_a) -> np.ndarray:
-    """``frame.rss`` at the grid points (flat_b3, flat_a), evaluated a block
-    of points at a time, so no temporary exceeds _GRID_BYTES."""
-    chunk = max(1, _GRID_BYTES // (8 * frame.xs.size))
-    blocks = range(0, flat_b3.size, chunk)
-
-    def project(i):
-        return frame.project(flat_b3[i:i + chunk], flat_a[i:i + chunk])[3:]
-
-    if 8 * flat_b3.size * frame.xs.size > _GRID_MEMO_BYTES:
-        return np.concatenate([frame.projected_rss(*project(i)) for i in blocks])
-    key = frame.xs.tobytes()
-    with _GRID_LOCK:
-        if _grid_memo[0] is None or _grid_memo[0][0] != key:
-            _grid_memo[0] = key, [project(i) for i in blocks]
-        projected = _grid_memo[0][1]
-    return np.concatenate([frame.projected_rss(vc, svv) for vc, svv in projected])
-
-
-def _grid_starts(frame: _Frame):
-    """(w, log|b4|) of the starts of the polish: the lowest _BASINS local
-    minima of the residual over a grid, and one start on each shoulder.
+def _grid_starts(frames):
+    """(w, log|b4|) of the starts of the polish of each frame of ``frames``
+    (frames of one score vector): the lowest _BASINS local minima of the
+    residual over a grid, and one start on each shoulder.
 
     The grid's b3 takes, per distinct score, the points 3 |b4| below and
     above it and the midpoint to the next score (where a small |b4| gives an
@@ -330,6 +330,7 @@ def _grid_starts(frame: _Frame):
     (``_grid_rss``). A shoulder start lies one |b4| beyond an end score, at the
     |b4| where that end's tail fits best: a finite basin often lies there,
     between the grid's columns."""
+    frame = frames[0]
     distinct = np.unique(frame.xs)
     t_top = np.log(_GRID_WIDTH)
     t = np.linspace(frame.t_lo, t_top, 1 + int(np.ceil(
@@ -344,16 +345,20 @@ def _grid_starts(frame: _Frame):
     w = np.hstack([-np.ones_like(t), frame.w(b3, a), np.ones_like(t)])
     flat_b3 = frame.b3(w, a).reshape(-1, 1)
     flat_a = np.broadcast_to(a, w.shape).reshape(-1, 1)
-    rss = _grid_rss(frame, flat_b3, flat_a).reshape(w.shape)
-    rows, cols = np.nonzero(
-        rss <= minimum_filter(rss, 3, mode="constant", cval=np.inf))
-    order = np.argsort(rss[rows, cols], kind="stable")
-    _, first = np.unique(rss[rows, cols][order], return_index=True)
-    pick = order[np.sort(first)[:_BASINS]]
-    ends = np.argmin(rss[:, [0, -1]], axis=0)
-    shoulder = np.array([distinct[0] - a[ends[0], 0], distinct[-1] + a[ends[1], 0]])
-    return (np.concatenate([w[rows[pick], cols[pick]], frame.w(shoulder, a[ends, 0])]),
-            np.concatenate([t[rows[pick], 0], t[ends, 0]]))
+    starts = []
+    for rss in _grid_rss(frame, flat_b3, flat_a, [f.yc for f in frames]):
+        rss = rss.reshape(w.shape)
+        rows, cols = np.nonzero(
+            rss <= minimum_filter(rss, 3, mode="constant", cval=np.inf))
+        order = np.argsort(rss[rows, cols], kind="stable")
+        _, first = np.unique(rss[rows, cols][order], return_index=True)
+        pick = order[np.sort(first)[:_BASINS]]
+        ends = np.argmin(rss[:, [0, -1]], axis=0)
+        shoulder = np.array([distinct[0] - a[ends[0], 0], distinct[-1] + a[ends[1], 0]])
+        starts.append((np.concatenate([w[rows[pick], cols[pick]],
+                                       frame.w(shoulder, a[ends, 0])]),
+                       np.concatenate([t[rows[pick], 0], t[ends, 0]])))
+    return starts
 
 
 def _polish(frame: _Frame, w, t):
@@ -450,7 +455,15 @@ def _polish(frame: _Frame, w, t):
 
 
 def fit_logistic4(scores, mos) -> LogisticFit:
-    """Least-squares 4-parameter logistic fit of MOS against metric scores.
+    """Least-squares 4-parameter logistic fit of MOS against metric scores:
+    ``fit_logistic4_sets`` with one MOS vector."""
+    return fit_logistic4_sets(scores, [mos])[0]
+
+
+def fit_logistic4_sets(scores, mos_sets) -> list:
+    """The least-squares 4-parameter logistic fit of each MOS vector of
+    ``mos_sets`` against the one vector of metric ``scores``, each fit as
+    if taken alone; the grid is projected once for all of them.
 
     A grid over (b3, log|b4|) picks the basins of the residual; a damped
     Newton polish refines them, the standard start (b3 at the median score,
@@ -460,8 +473,8 @@ def fit_logistic4(scores, mos) -> LogisticFit:
     starts.
     """
     x = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(mos, dtype=np.float64)
-    if x.size < 5 or x.shape != y.shape:
+    ys = [np.asarray(mos, dtype=np.float64) for mos in mos_sets]
+    if x.size < 5 or any(y.shape != x.shape for y in ys):
         raise DegenerateRanks("logistic fit needs >= 5 paired samples")
     if np.all(x == x[0]):
         raise DegenerateRanks("constant scores; logistic fit undefined")
@@ -473,10 +486,16 @@ def fit_logistic4(scores, mos) -> LogisticFit:
     # |b4| reaches the step limit at the smallest gap between scores, or at
     # the resolution of the unit span where a gap falls below it
     gap = max(float(np.min(np.diff(np.unique(xs)))), 2.0 ** -52)
-    frame = _Frame(xs, y - np.mean(y), 0.5 * (lo + hi), 0.5 * (hi - lo),
-                   float(np.log(gap / (2.0 * TAIL_U))), float(np.log(LINE_WIDTH)))
-    grid_w, grid_t = _grid_starts(frame)
-    a0 = np.std(xs) / 4.0
+    frames = [_Frame(xs, y - np.mean(y), 0.5 * (lo + hi), 0.5 * (hi - lo),
+                     float(np.log(gap / (2.0 * TAIL_U))), float(np.log(LINE_WIDTH)))
+              for y in ys]
+    return [_fit_frame(frame, x, y, centre, span, *starts)
+            for frame, y, starts in zip(frames, ys, _grid_starts(frames))]
+
+
+def _fit_frame(frame: _Frame, x, y, centre: float, span: float, grid_w, grid_t):
+    """The fit of ``y`` against ``x`` in ``frame`` from its grid starts."""
+    a0 = np.std(frame.xs) / 4.0
     w, t, rss, settled = _polish(
         frame, np.append(grid_w, frame.w(0.0, a0)),
         np.append(grid_t, np.log(a0)))
@@ -492,7 +511,7 @@ def fit_logistic4(scores, mos) -> LogisticFit:
     b3 = float(frame.b3(w, a))
     # (b1, b2) by least squares on the columns (1 - s, s), each scaled to
     # unit norm, so a tail's tiny column keeps its weight
-    u = (xs - b3) / a
+    u = (frame.xs - b3) / a
     cols = np.stack([expit(-u), expit(u)], axis=1)
     norms = np.linalg.norm(cols, axis=0)
     norms[norms == 0.0] = 1.0
@@ -615,14 +634,18 @@ def _definite_scores(scores) -> np.ndarray:
     return out
 
 
-def evaluate_metric(metric_id: str, scores, mos_records) -> MetricEvaluation:
-    """Compute all six criteria for one metric's scores against MOS records."""
+def evaluate_metric(metric_id: str, scores, mos_records,
+                    fit: LogisticFit | None = None) -> MetricEvaluation:
+    """Compute all six criteria for one metric's scores against MOS records.
+    ``fit`` is the logistic fit of the scores against the records' MOS when
+    it has been taken already (``fit_logistic4_sets``)."""
     mos = np.array([r.mos for r in mos_records], dtype=np.float64)
     s = srocc(scores, mos)  # rank statistics tolerate the +inf sentinel
     k = krcc(scores, mos)
     fit_scores = _definite_scores(scores)
     p0 = pcc(fit_scores, mos)
-    fit = fit_logistic4(fit_scores, mos)
+    if fit is None:
+        fit = fit_logistic4(fit_scores, mos)
     pred = fit.predict(fit_scores)
     row = CriteriaRow(metric_id, s, k, p0, pcc(pred, mos), rmse_fitted(pred, mos),
                       outlier_ratio(pred, mos_records))

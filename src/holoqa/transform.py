@@ -223,9 +223,9 @@ def reconstruct_view(f: WaveField, ap: ApertureSpec | None = None,
     if focal_offset != 0.0:
         q = refocus_kernel(*data.shape, f.pixel_pitch, f.wavelength,
                            focal_offset, nominal_focus_distance(f))
-        data = data * q
-    spectrum = np.fft.fftshift(sp_fft.fft2(np.fft.ifftshift(data), overwrite_x=True))
-    return np.abs(spectrum)
+        data = np.multiply(data, q, out=q)
+    # |.| is taken before the (real) shift, so no shifted complex copy is made
+    return np.fft.fftshift(np.abs(sp_fft.fft2(np.fft.ifftshift(data), overwrite_x=True)))
 
 
 def view_clip_bound(ref_amp: np.ndarray, clip_percentile: float) -> float:

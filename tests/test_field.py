@@ -14,8 +14,10 @@ from holoqa.errors import (
     UnsupportedFormat,
 )
 from holoqa.field import (
+    AffineRecord,
     ApertureSpec,
     HologramForm,
+    QuantizedField,
     WaveField,
     dequantize_components,
     extract_aperture_quantized,
@@ -89,6 +91,27 @@ class TestQuantization:
         assert q.real_affine.scale == q.imag_affine.scale == 5e-324
         assert np.array_equal(q.real_plane, [[0, 1], [1, 0]])
         assert np.array_equal(dequantize_components(q).data, data)
+
+    @pytest.mark.parametrize("offsets, scales", [
+        ((-0.0, 0.0), (0.01, 2.5)),
+        ((-3.5, -0.0), (5e-324, 1e-310)),      # subnormal scales
+        ((1e300, -1e-300), (3e297, 2.2250738585072014e-308)),
+    ])
+    def test_dequantize_equals_complex_sum_bit_for_bit(self, offsets, scales):
+        # each part is written straight into the complex field; it must be
+        # re + 1j * im to the bit, signed zeros included
+        rng = np.random.default_rng(7)
+        q = QuantizedField(rng.integers(0, 256, (9, 13), dtype=np.uint8),
+                           rng.integers(0, 256, (9, 13), dtype=np.uint8),
+                           AffineRecord(offsets[0], scales[0]),
+                           AffineRecord(offsets[1], scales[1]),
+                           8e-6, 640e-9, HologramForm.FOURIER)
+        re = offsets[0] + scales[0] * q.real_plane.astype(np.float64)
+        im = offsets[1] + scales[1] * q.imag_plane.astype(np.float64)
+        got = dequantize_components(q).data
+        assert np.array_equal(got.view(np.float64), (re + 1j * im).view(np.float64))
+        assert np.array_equal(np.signbit(got.view(np.float64)),
+                              np.signbit((re + 1j * im).view(np.float64)))
 
     def test_codes_span_full_range(self):
         rng = np.random.default_rng(2)

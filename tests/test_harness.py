@@ -34,7 +34,13 @@ from holoqa.errors import (
     NoOverlap,
     UnknownMetric,
 )
-from holoqa.field import ApertureSpec, HologramForm, WaveField, quantize_components
+from holoqa.field import (
+    ApertureSpec,
+    HologramForm,
+    WaveField,
+    dequantize_components,
+    quantize_components,
+)
 from holoqa.harness import (
     TrackConfig,
     emit_report,
@@ -555,11 +561,11 @@ class TestFitsOnPool:
         threads = []
         evaluate = harness.evaluate_metric
 
-        def recorded(metric_id, scores, records):
+        def recorded(metric_id, scores, records, *fit):
             threads.append(threading.current_thread().name)
             if metric_id == "psnr" and records[0].display is Display.LF:
                 raise DegenerateRanks("constant scores")
-            return evaluate(metric_id, scores, records)
+            return evaluate(metric_id, scores, records, *fit)
         monkeypatch.setattr(harness, "evaluate_metric", recorded)
         ids = ("mse", "psnr", "ssim")
         with caplog.at_level(logging.WARNING, logger="holoqa.harness"):
@@ -579,6 +585,56 @@ class TestFitsOnPool:
             "metric psnr degenerate on display LF: constant scores"]
         assert list(report.significance[Display.LF].metric_ids) == ["mse", "ssim"]
         assert _view_pool_threads() == []
+
+
+    def test_one_fit_job_per_distinct_score_vector(self, two_stimuli, monkeypatch):
+        """Displays matched on the same samples share one fit job per
+        metric; a display matched on fewer samples gets a job of its own.
+        Every row equals its display's ``evaluate_metric`` taken alone."""
+        manifest, mos = two_stimuli
+        dropped = next(r for r in mos if r.display is Display.LF)
+        mos = [r for r in mos if r is not dropped]
+        jobs = _counted(monkeypatch, "_evaluate_displays")
+        ids = ("mse", "ssim")
+        report = run_track(manifest, mos, TrackConfig("qa3", metrics=ids))
+        assert sorted((args[0], len(args[2])) for args in jobs) == [
+            ("mse", 1), ("mse", 2), ("ssim", 1), ("ssim", 2)]
+        scores = {}
+        for r in report.raw_scores:
+            scores.setdefault((r.stimulus_id, r.view, r.focal_index), {})[r.metric_id] = r.value
+        by_key = harness._mos_lookup(mos)
+        for display, rows in report.criteria.items():
+            matched = [(s, rec) for key, s in scores.items()
+                       if (rec := harness._matched_mos(by_key, key[0], display, *key[1:]))]
+            assert len(matched) == len(scores) - (display is Display.LF)
+            for row in rows:
+                alone = evaluate_metric(row.metric_id, [s[row.metric_id] for s, _ in matched],
+                                        [rec for _, rec in matched])
+                assert row == alone.row
+
+
+    def test_fit_job_keeps_each_displays_own_error(self):
+        """A display whose criteria raise DegenerateRanks gets that error and
+        the others their evaluations; if the shared fits raise, every
+        display raises the error ``evaluate_metric`` alone raises first."""
+        rng = np.random.default_rng(5)
+
+        def records(values, display):
+            return [MosRecord(f"s{i}", display, "center", 0, float(v), 0.5, 20)
+                    for i, v in enumerate(values)]
+        good = records(rng.uniform(1.0, 5.0, 8), Display.OPT)
+        flat = records(np.full(8, 3.0), Display.LF)
+        scores = list(rng.uniform(0.0, 1.0, 8))
+        ev, err = harness._evaluate_displays("mse", scores, [good, flat])
+        alone = evaluate_metric("mse", scores, good)
+        assert (ev.row, ev.fit) == (alone.row, alone.fit)
+        assert np.array_equal(ev.abs_residuals, alone.abs_residuals)
+        assert isinstance(err, DegenerateRanks)
+        assert str(err) == "constant vector; correlation undefined"
+        for bad, message in (([0.5] * 8, "constant vector; correlation undefined"),
+                             (scores[:4], "logistic fit needs >= 5 paired samples")):
+            out = harness._evaluate_displays("mse", bad, [good[:len(bad)]] * 2)
+            assert [str(e) for e in out] == [message] * 2
 
 
 def _aliased(manifest, mos, k):
@@ -844,13 +900,13 @@ def qa2_view(demo_dataset):
 
 # Traced peak of one scoring job, in 384^2 float64 planes (1.18 MB each),
 # three versions, warm caches. Measured with NumPy 2.4: mse 4.0, ssrm 10.0,
-# ssim 11.37, uqi 9.04, gmsd 7.0, fsim 12.25, nlpd 8.68, vifp 12.36, complex
-# crops 12.25; each bound adds 1 plane for other NumPy and Python versions.
+# ssim 11.37, uqi 9.04, gmsd 7.0, fsim 12.25, nlpd 8.68, vifp 9.72, complex
+# crops 12.06; each bound adds 1 plane for other NumPy and Python versions.
 # A view's two plane jobs run at once in the same family, and each worker
 # thread's malloc arena keeps its largest transient, so a run's peak follows
 # the heaviest job.
 JOB_PEAK_PLANES = {"mse": 5.0, "ssrm": 11.0, "ssim": 12.4, "uqi": 10.1, "gmsd": 8.0,
-                   "fsim": 13.3, "nlpd": 9.7, "vifp": 13.4, "complex": 13.3}
+                   "fsim": 13.3, "nlpd": 9.7, "vifp": 10.8, "complex": 13.1}
 # qa2's conversion of one 256^2 field (``_prepared_field``), in the same
 # planes: measured 10.01, bound with 1 plane added
 PREPARED_PEAK_PLANES = 11.1
@@ -904,6 +960,65 @@ def test_log_gabor_bank_size():
     spreads, radials = gradient._log_gabor_factors(384, 384)
     planes = sum(a.nbytes for a in spreads + radials) / (384 * 384 * 8)
     assert planes <= BANK_PLANES, planes
+
+
+@pytest.fixture(scope="module")
+def qa4_view(demo_dataset):
+    """The dequantized reference, the quantized distorted versions, the
+    centre aperture and the focal offsets of demo dataset 1234's first
+    stimulus, as a qa4 job renders them: 192x192 views, three versions."""
+    manifest = load_manifest(demo_dataset["manifest"])
+    entry = manifest.stimuli[0]
+    ref = dequantize_components(manifest.load_reference(entry))
+    dists = tuple((tag, manifest.load_distorted(entry, tag)) for tag in entry.distorted)
+    ap = ApertureSpec.for_view("center", ref.rows, ref.cols, entry.aperture_size)
+    assert (ap.height, ap.width) == (192, 192) and len(dists) == 3
+    return ref, dists, ap, entry.focal_offsets
+
+
+# Traced peaks of the qa4 paths in 192^2 float64 planes (295 kB each), at
+# each focal offset of the qa4_view, warm caches. Measured with NumPy 2.4: a
+# whole ``_score_versions`` job 13.10 (FSIM's scoring sets it) and the
+# reference preparation on the calling thread 5.0; each bound adds 1 plane.
+QA4_PLANE = 192 * 192 * 8
+QA4_JOB_PLANES = 14.1
+REFERENCE_VIEW_PLANES = 6.1
+# one metric's fit job, 48 samples against three displays, its grid widened
+# by two scores 1e-12 apart: measured 2.08 MB, bound with 1 plane added
+FIT_JOB_BYTES = 2.08e6 + QA4_PLANE
+
+
+@pytest.mark.parametrize("focal", [0, 1])
+def test_qa4_job_peak(qa4_view, focal):
+    """One qa4 job (render, despeckle, quantize and score three versions)
+    stays within its bound."""
+    ref, dists, ap, offsets = qa4_view
+    config = TrackConfig("qa4")
+    wp, bound, codes = harness._reference_view(config, ref, ap, offsets[focal])
+    peak = _traced_peak(harness._score_versions, config, dists, ap, offsets[focal], wp,
+                        bound, codes, config.resolved_metrics())
+    assert peak / QA4_PLANE <= QA4_JOB_PLANES, peak / QA4_PLANE
+
+
+@pytest.mark.parametrize("focal", [0, 1])
+def test_reference_view_peak(qa4_view, focal):
+    """One (view, focal) reference preparation of qa4 stays within its bound."""
+    ref, _, ap, offsets = qa4_view
+    peak = _traced_peak(harness._reference_view, TrackConfig("qa4"), ref, ap, offsets[focal])
+    assert peak / QA4_PLANE <= REFERENCE_VIEW_PLANES, peak / QA4_PLANE
+
+
+def test_fit_job_peak():
+    """One metric's fit job on 48 samples and three displays stays within
+    its bound: the grid is projected a block at a time and kept nowhere."""
+    rng = np.random.default_rng(27)
+    scores = rng.lognormal(0.0, 1.0, 48)
+    scores[1] = scores[0] * (1.0 + 1e-12)
+    record_sets = [[MosRecord(f"s{i}", display, "center", 0, float(mos), 0.5, 20)
+                    for i, mos in enumerate(rng.uniform(1.0, 5.0, 48))]
+                   for display in Display]
+    peak = _traced_peak(harness._evaluate_displays, "mse", list(scores), record_sets)
+    assert peak <= FIT_JOB_BYTES, peak
 
 
 def test_traced_attributes_resolve():

@@ -2,6 +2,7 @@
 and rank aggregation, against brute-force definitional oracles."""
 
 import csv
+import dataclasses
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +26,7 @@ from holoqa.stats import (
     _definite_scores,
     evaluate_metric,
     fit_logistic4,
+    fit_logistic4_sets,
     krcc,
     midranks,
     outlier_ratio,
@@ -292,25 +294,46 @@ class TestLogisticFit:
         assert abs(mapped.residual_norm - fit.residual_norm) <= (
             1e-9 * fit.residual_norm + slack)
 
-    def test_shared_grid_fits_equal_fresh_ones_across_threads(self):
-        # fits of one score vector against several MOS vectors share the
-        # projected grid; each must equal its fit with the memo emptied
+    def test_fits_against_several_mos_vectors_equal_single_fits(self):
+        # one score vector fitted against several MOS vectors at once
+        # projects the grid once; each fit must equal its single fit bit for
+        # bit, and fits run concurrently must equal the sequential ones
         rng = np.random.default_rng(11)
-        score_sets = [rng.lognormal(0.0, 1.0, 48), rng.uniform(0.0, 1.0, 48)]
-        jobs = [(x, rng.uniform(1.0, 5.0, 48)) for x in score_sets for _ in range(3)]
-        fresh = []
-        for x, y in jobs:
-            stats_module._grid_memo[0] = None
-            fresh.append(fit_logistic4(x, y))
-        assert stats_module._grid_memo[0] is not None
+        jobs = [(x, [rng.uniform(1.0, 5.0, 48) for _ in range(3)])
+                for x in (rng.lognormal(0.0, 1.0, 48), rng.uniform(0.0, 1.0, 48))]
+        single = [[dataclasses.astuple(fit_logistic4(x, y)) for y in ys] for x, ys in jobs]
+
+        def fit_sets(job):
+            return [dataclasses.astuple(f) for f in fit_logistic4_sets(*job)]
+        assert [fit_sets(job) for job in jobs] == single
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                shared = list(pool.map(lambda job: fit_logistic4(*job), jobs * 2))
+                shared = list(pool.map(fit_sets, jobs * 2))
         finally:
             sys.setswitchinterval(interval)
-        assert shared == fresh * 2
+        assert shared == single * 2
+
+    @pytest.mark.parametrize("n", [5, 48, 3000])
+    def test_grid_residuals_equal_whole_block_projection(self, n):
+        # ``vc @ yc`` rounds by its row count, so the grid residuals must
+        # equal those of frame.rss taken on whole _GRID_BYTES blocks, bit for
+        # bit, however the pieces around it are cut
+        rng = np.random.default_rng(n)
+        xs = np.sort(rng.uniform(-0.5, 0.5, n))
+        ycs = [y - y.mean() for y in rng.uniform(1.0, 5.0, (2, n))]
+        frame = stats_module._Frame(xs, ycs[0], 0.0, 0.5, np.log(1e-6), np.log(3e4))
+        points = 9000
+        b3 = rng.uniform(-1.0, 1.0, (points, 1))
+        a = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), (points, 1)))
+        got = stats_module._grid_rss(frame, b3, a, ycs)
+        chunk = max(1, stats_module._GRID_BYTES // (8 * n))
+        for row, yc in zip(got, ycs):
+            f = dataclasses.replace(frame, yc=yc)
+            want = np.concatenate([f.rss(b3[i:i + chunk], a[i:i + chunk])
+                                   for i in range(0, points, chunk)])
+            assert np.array_equal(row, want)
 
 
 # rows where the hand-rolled loop stalled short of the optimum
